@@ -273,8 +273,8 @@ def cmd_experiment(args) -> int:
         delta=grid_cfg.get("delta", 0.1),
         seed=seed, rho=ens["rho"], mu=ens.get("mu", 1.0),
         base=ens.get("base", "gaussian"))
-    out = Path(cfg.get("output_dir", args.out_dir
-                       or os.environ.get("ELLIPTICLAB_OUT", ".")))
+    out = Path(args.out_dir or cfg.get("output_dir")
+               or os.environ.get("ELLIPTICLAB_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
 
     failed = []
@@ -343,7 +343,8 @@ def cmd_experiment(args) -> int:
 
 def _add_common(p, grid: bool = False) -> None:
     p.add_argument("--out-dir", default=None,
-                   help="output directory (default: $ELLIPTICLAB_OUT or '.')")
+                   help="output directory (default: a config's output_dir, "
+                        "then $ELLIPTICLAB_OUT, then '.')")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=1)
@@ -452,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run experiments from a JSON config")
     p.add_argument("config")
     _add_common(p)
-    p.set_defaults(func=cmd_experiment)
+    # without --seed the config's seed applies
+    p.set_defaults(func=cmd_experiment, seed=None)
 
     return parser
 

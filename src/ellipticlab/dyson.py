@@ -11,11 +11,16 @@ and evaluates the derived quantities: the uniform density on the ellipse
 with semi-axes 1+rho and 1-rho, the eta -> 0 bulk limit of v, and the
 algebraic identities tying v and b together.
 
-The solver runs a damped fixed-point iteration on M (which preserves
-Im M > 0 and the equal-diagonal structure), polishes the result with
-Newton steps on the scalar equation in u = eta/v, and falls back to a
-bracketed bisection in u when the fixed point stalls near the spectral
-edge.  All entry points are vectorized over (zeta, eta) grids.
+The solver finds the unique positive root u = eta/v of the scalar equation
+that v satisfies, and recovers v = eta/u and b from it.  One bracketed,
+safeguarded Newton iteration finds the root: Newton steps inside a sign
+bracket, geometric bisection where Newton would leave the bracket or stall.
+A point stops once its step falls below an ulp of u; its `iterations`
+count is the number of steps it took.  The flat (zeta, eta) arrays go
+through the solver in blocks of fixed size, so its temporary memory does
+not grow with the grid.  A final check of the defining relation raises
+DysonConvergenceError where tol is not met.  All entry points are
+vectorized over (zeta, eta) grids.
 """
 
 from __future__ import annotations
@@ -28,11 +33,9 @@ import numpy as np
 # eta -> 0 limit is exposed separately through v_limit_bulk.
 ETA_FLOOR = 1e-12
 
-_DAMPING = 0.5
-_SEED_TOL = 1e-7          # fixed-point target before Newton polish
-_FP_CHUNK = 25            # iterations between convergence checks
-_NEWTON_STEPS = 8
-_BISECT_STEPS = 110
+_BLOCK = 1 << 15          # points per block; bounds the solver's temporaries
+_MAX_STEPS = 100          # safeguarded steps per point; a backstop only
+_EPS = np.finfo(float).eps
 
 
 class DysonConvergenceError(RuntimeError):
@@ -158,16 +161,13 @@ def b_from_v(v, point: SpectralPoint, param: EllipticParam) -> complex:
     """Off-diagonal b recovered from v at a spectral point."""
     if np.any(np.asarray(v) <= 0):
         raise ValueError("v must be positive")
-    u = point.eta / v
-    return -point.zeta.real / (1.0 + param.rho + u) + 1j * point.zeta.imag / (1.0 - param.rho + u)
+    return _b_from_u(point.zeta, point.eta / v, param.rho)
 
 
 def v_equation_residual(v, point: SpectralPoint, param: EllipticParam) -> float:
     """Residual of the scalar equation for v; zero at the true solution."""
-    u = point.eta / v
-    x, y = point.zeta.real, point.zeta.imag
-    lhs = x ** 2 / (1.0 + u + param.rho) ** 2 + y ** 2 / (1.0 + u - param.rho) ** 2
-    return lhs - (1.0 / (1.0 + u) - v ** 2)
+    x2, y2 = point.zeta.real ** 2, point.zeta.imag ** 2
+    return _scalar_g(point.eta / v, x2, y2, point.eta ** 2, param.rho)
 
 
 def m_matrix(solution: DysonSolution) -> np.ndarray:
@@ -190,102 +190,75 @@ def _mde_residual(m, c, d, z, e, rho):
 
 def _scalar_g(u, x2, y2, e2, rho):
     """Scalar equation in u = eta/v; positive left of the root."""
-    return (x2 / (1.0 + u + rho) ** 2 + y2 / (1.0 + u - rho) ** 2
+    # 1 + rho is exact for rho <= -1/2, so adding u last keeps the small
+    # denominator accurate near rho = -1
+    return (x2 / (1.0 + rho + u) ** 2 + y2 / (1.0 - rho + u) ** 2
             + e2 / u ** 2 - 1.0 / (1.0 + u))
 
 
 def _scalar_g_prime(u, x2, y2, e2, rho):
-    return (-2.0 * x2 / (1.0 + u + rho) ** 3 - 2.0 * y2 / (1.0 + u - rho) ** 3
+    return (-2.0 * x2 / (1.0 + rho + u) ** 3 - 2.0 * y2 / (1.0 - rho + u) ** 3
             - 2.0 * e2 / u ** 3 + 1.0 / (1.0 + u) ** 2)
 
 
-def _newton_polish(u, x2, y2, e2, rho, steps=_NEWTON_STEPS):
-    """Newton iteration on the scalar equation; keeps the best iterate."""
-    best_u = u.copy()
-    best_g = np.abs(_scalar_g(u, x2, y2, e2, rho))
-    for _ in range(steps):
-        g = _scalar_g(u, x2, y2, e2, rho)
-        gp = _scalar_g_prime(u, x2, y2, e2, rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / gp
-        u_new = u - step
-        ok = np.isfinite(u_new) & (u_new > 0)
-        u = np.where(ok, u_new, u)
-        cur = np.abs(_scalar_g(u, x2, y2, e2, rho))
-        better = cur < best_g
-        best_u = np.where(better, u, best_u)
-        best_g = np.where(better, cur, best_g)
-    return best_u
+def _b_from_u(z, u, rho):
+    """Off-diagonal b at the root u = eta/v; v itself is eta/u."""
+    return -z.real / (1.0 + rho + u) + 1j * z.imag / (1.0 - rho + u)
 
 
-def _bisect(x2, y2, e, rho):
-    """Bracketed bisection for the unique positive root of the scalar equation."""
+def _root_u(x2, y2, e, rho):
+    """Positive root of the scalar equation, and the steps each point took.
+
+    Bracketed, safeguarded Newton (Numerical Recipes' rtsafe): a Newton
+    step is taken when it lands inside the bracket and is at most half as
+    long as the previous step, a geometric bisection step otherwise, and
+    the sign of g narrows the bracket at every step.  Converged points
+    leave the active set.
+    """
     e2 = e * e
-    u_lo = e * np.maximum(1.0, e)          # v = min(1, 1/eta); g >= 0 there
-    u_hi = np.maximum(2.0 * (1.0 + e2 + x2 + y2), 2.0 * u_lo)
-    for _ in range(80):
-        bad = _scalar_g(u_hi, x2, y2, e2, rho) >= 0
-        if not bad.any():
+    lo = e * np.maximum(1.0, e)          # v = min(1, 1/eta); g >= 0 there
+    hi = 2.0 * (1.0 + x2 + y2 + e2)      # (1+u) g < -1/2 there
+    u, step = lo, hi - lo
+    out = np.empty_like(u)
+    steps = np.full(u.size, _MAX_STEPS)
+    idx = np.arange(u.size)
+    for k in range(1, _MAX_STEPS + 1):
+        g = _scalar_g(u, x2, y2, e2, rho)
+        pos = g > 0
+        lo = np.where(pos, u, lo)
+        hi = np.where(pos, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = u - g / _scalar_g_prime(u, x2, y2, e2, rho)
+        bisect = (~((newton > lo) & (newton < hi))
+                  | (np.abs(newton - u) > 0.5 * np.abs(step)))
+        u_next = np.where(bisect, np.sqrt(lo * hi), newton)
+        step = u_next - u
+        # a step below an ulp: Newton has converged or the bracket has collapsed
+        done = np.abs(step) <= 2.0 * _EPS * u
+        out[idx[done]] = u_next[done]
+        steps[idx[done]] = k
+        keep = ~done
+        idx, u, lo, hi, step, x2, y2, e2 = (
+            a[keep] for a in (idx, u_next, lo, hi, step, x2, y2, e2))
+        if not idx.size:
             break
-        u_hi = np.where(bad, 2.0 * u_hi, u_hi)
-    for _ in range(_BISECT_STEPS):
-        u_mid = 0.5 * (u_lo + u_hi)
-        pos = _scalar_g(u_mid, x2, y2, e2, rho) > 0
-        u_lo = np.where(pos, u_mid, u_lo)
-        u_hi = np.where(pos, u_hi, u_mid)
-    return _newton_polish(0.5 * (u_lo + u_hi), x2, y2, e2, rho, steps=3)
+    out[idx] = u
+    return out, steps
 
 
-def _solve_flat(z, e, rho, tol, max_iter):
-    """Solve for flat arrays z (complex) and e (float) of equal size."""
-    size = z.size
-    m = 1j / (1.0 + e)
-    c = np.zeros(size, dtype=complex)
-    d = np.zeros(size, dtype=complex)
-    iters = np.zeros(size, dtype=np.int64)
-
-    # Phase 1: damped fixed point, retiring converged entries as we go.
-    fp_budget = min(max(_FP_CHUNK, max_iter), 1500)
-    seed_tol = max(_SEED_TOL, tol)
-    active = np.arange(size)
-    k = 0
-    while active.size and k < fp_budget:
-        za, ea = z[active], e[active]
-        ma, ca, da = m[active], c[active], d[active]
-        for _ in range(_FP_CHUNK):
-            a = 1j * ea + ma
-            p = za + rho * da
-            q = np.conj(za) + rho * ca
-            det = a * a - p * q
-            ma = (1.0 - _DAMPING) * ma - _DAMPING * a / det
-            ca = (1.0 - _DAMPING) * ca + _DAMPING * p / det
-            da = (1.0 - _DAMPING) * da + _DAMPING * q / det
-        k += _FP_CHUNK
-        m[active], c[active], d[active] = ma, ca, da
-        done = _mde_residual(ma, ca, da, za, ea, rho) <= seed_tol
-        iters[active[done]] = k
-        active = active[~done]
-    iters[active] = k
-
-    # Phase 2: Newton polish on u = eta/v, seeded by the fixed point.
-    x2, y2 = z.real ** 2, z.imag ** 2
-    v_seed = np.maximum(m.imag, 1e-300)
-    u = _newton_polish(e / v_seed, x2, y2, e * e, rho)
-    v = e / u
-    b = -z.real / (1.0 + rho + u) + 1j * z.imag / (1.0 - rho + u)
-    res = _mde_residual(1j * v, np.conj(b), b, z, e, rho)
-
-    # Phase 3: bisection rescue for anything the polish did not fix.
-    stuck = res > tol
-    if stuck.any():
-        u_s = _bisect(x2[stuck], y2[stuck], e[stuck], rho)
-        v_s = e[stuck] / u_s
-        b_s = (-z.real[stuck] / (1.0 + rho + u_s)
-               + 1j * z.imag[stuck] / (1.0 - rho + u_s))
-        v[stuck], b[stuck] = v_s, b_s
-        res[stuck] = _mde_residual(1j * v_s, np.conj(b_s), b_s,
-                                   z[stuck], e[stuck], rho)
-        iters[stuck] += _BISECT_STEPS
+def _solve_flat(z, e, rho, tol):
+    """Solve for flat arrays z (complex) and e (float) of equal size, by blocks."""
+    v = np.empty(z.size)
+    b = np.empty(z.size, dtype=complex)
+    res = np.empty(z.size)
+    iters = np.empty(z.size, dtype=np.int64)
+    for first in range(0, z.size, _BLOCK):
+        blk = slice(first, first + _BLOCK)
+        zk, ek = z[blk], e[blk]
+        u, iters[blk] = _root_u(zk.real ** 2, zk.imag ** 2, ek, rho)
+        vk, bk = ek / u, _b_from_u(zk, u, rho)
+        v[blk], b[blk] = vk, bk
+        res[blk] = _mde_residual(1j * vk, np.conj(bk), bk, zk, ek, rho)
 
     if np.any(res > tol):
         worst = float(res.max())
@@ -295,8 +268,7 @@ def _solve_flat(z, e, rho, tol, max_iter):
     return v, b, res, iters
 
 
-def solve_dyson_grid(zeta, eta, rho: float, tol: float = 1e-12,
-                     max_iter: int = 100_000):
+def solve_dyson_grid(zeta, eta, rho: float, tol: float = 1e-12):
     """Vectorized solve over broadcast (zeta, eta) arrays at fixed rho.
 
     Returns arrays (v, b, residual, iterations) in the broadcast shape.
@@ -311,18 +283,15 @@ def solve_dyson_grid(zeta, eta, rho: float, tol: float = 1e-12,
         raise ValueError(f"eta must be >= {ETA_FLOOR:g}")
     zb, eb = np.broadcast_arrays(zeta, eta)
     shape = zb.shape
-    v, b, res, iters = _solve_flat(zb.ravel().astype(complex),
-                                   eb.ravel().astype(float),
-                                   float(rho), tol, max_iter)
+    v, b, res, iters = _solve_flat(zb.ravel(), eb.ravel(), float(rho), tol)
     return (v.reshape(shape), b.reshape(shape),
             res.reshape(shape), iters.reshape(shape))
 
 
 def solve_dyson(point: SpectralPoint, param: EllipticParam,
-                tol: float = 1e-12, max_iter: int = 100_000) -> DysonSolution:
+                tol: float = 1e-12) -> DysonSolution:
     """Solve the Dyson equation at a single spectral point."""
-    v, b, res, iters = solve_dyson_grid(point.zeta, point.eta, param.rho,
-                                        tol=tol, max_iter=max_iter)
+    v, b, res, iters = solve_dyson_grid(point.zeta, point.eta, param.rho, tol=tol)
     return DysonSolution(v=float(v), b=complex(b), residual=float(res),
                          iterations=int(iters), zeta=complex(point.zeta),
                          eta=float(point.eta), rho=float(param.rho))

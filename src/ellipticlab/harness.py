@@ -23,6 +23,7 @@ from .spectral import (
     ResolventSolver,
     SelfEnergyData,
     decompose,
+    default_probes,
     error_matrix_norms,
     hermitize,
 )
@@ -206,21 +207,6 @@ def _grid_params(grid: ExperimentGrid) -> dict:
     }
 
 
-def _iso_probes(n2: int, seed: int):
-    """Six deterministic probes; pairs of them feed the isotropic statistic."""
-    n = n2 // 2
-    e1 = np.zeros(n2, dtype=complex); e1[0] = 1.0
-    en1 = np.zeros(n2, dtype=complex); en1[n] = 1.0
-    uni = np.full(n2, 1.0 / np.sqrt(n2), dtype=complex)
-    alt = np.array([(-1.0) ** i for i in range(n2)], dtype=complex) / np.sqrt(n2)
-    rng = np.random.default_rng(seed)
-    extra = []
-    for _ in range(2):
-        g = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-        extra.append(g / np.linalg.norm(g))
-    return [e1, en1, uni, alt, *extra]
-
-
 _BLOCK_TESTS = {
     "I": np.eye(2, dtype=complex),
     "E-": np.diag([1.0, -1.0]).astype(complex),
@@ -245,7 +231,7 @@ def isotropic_local_law(grid: ExperimentGrid, n_pairs: int = 20,
         m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
         x = sample(grid.ensemble_spec(n), trial)
         solver = ResolventSolver(x.entries, grid.zeta, eta)
-        probes = _iso_probes(2 * n, seed=grid.seed)
+        probes = [p for _, p in default_probes(2 * n, seed=grid.seed, k=2)]
         pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))
                  if i <= j][:n_pairs]
         gy = {}

@@ -179,6 +179,43 @@ class TestExperimentConfig:
         assert [set(r) for r in rows_a] == [set(r) for r in rows_b]
         assert rows_a != rows_b
 
+    def _mini_config(self, path, **extra):
+        path.write_text(json.dumps({
+            "schema": 1,
+            "ensemble": {"rho": 0.5, "seed": 7},
+            "grid": {"n_values": [32], "zeta": "0.3+0.2i", "trials": 1},
+            "experiments": ["local-law"],
+            **extra,
+        }))
+        return str(path)
+
+    def test_config_seed_applies_without_seed_flag(self, tmp_path):
+        cfg = self._mini_config(tmp_path / "seven.json")
+        assert main(["experiment", cfg, "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["experiment", cfg, "--seed", "7",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        records = [(tmp_path / d / "averaged_local_law.jsonl").read_text()
+                   for d in ("a", "b")]
+        assert records[0] == records[1]
+
+    def test_out_dir_precedence(self, tmp_path, monkeypatch):
+        # --out-dir, then the config's output_dir, then $ELLIPTICLAB_OUT, then '.'
+        monkeypatch.chdir(tmp_path)
+        report = "averaged_local_law.jsonl"
+        with_dir = self._mini_config(tmp_path / "with.json", output_dir="cfg")
+        without_dir = self._mini_config(tmp_path / "without.json")
+        assert main(["experiment", without_dir]) == 0
+        assert (tmp_path / report).exists()
+        monkeypatch.setenv("ELLIPTICLAB_OUT", str(tmp_path / "env"))
+        assert main(["experiment", without_dir]) == 0
+        assert (tmp_path / "env" / report).exists()
+        assert main(["experiment", with_dir]) == 0
+        assert (tmp_path / "cfg" / report).exists()
+        assert main(["experiment", with_dir, "--out-dir", "flag"]) == 0
+        assert (tmp_path / "flag" / report).exists()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "cfg", "env", "flag"]
+
     def test_bundled_smoke_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         start = time.time()

@@ -1,7 +1,10 @@
 """Dyson solver identities against closed forms and random spectral points."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellipticlab import (
     DysonConvergenceError,
@@ -16,6 +19,7 @@ from ellipticlab import (
     v_equation_residual,
     v_limit_bulk,
 )
+from ellipticlab.dyson import _MAX_STEPS
 
 
 def closed_form_v_origin(eta):
@@ -191,3 +195,48 @@ class TestValidationAndErrors:
         v, b, r, it = solve_dyson_grid(zs, 0.5, 0.2)
         assert v.shape == b.shape == r.shape == it.shape == (2, 2)
         assert np.all(r <= 1e-12)
+
+
+def mp_v(zeta, eta, rho):
+    """v from a 50-digit geometric bisection of the scalar equation in u = eta/v."""
+    with mp.workdps(50):
+        x2, y2 = mp.mpf(zeta.real) ** 2, mp.mpf(zeta.imag) ** 2
+        e, r = mp.mpf(eta), mp.mpf(rho)
+
+        def g(u):
+            return (x2 / (1 + r + u) ** 2 + y2 / (1 - r + u) ** 2
+                    + e * e / u ** 2 - 1 / (1 + u))
+
+        lo, hi = e * max(1, e), 2 * (1 + x2 + y2 + e * e)
+        assert g(lo) >= 0 > g(hi)
+        for _ in range(200):
+            mid = mp.sqrt(lo * hi)
+            if g(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(e / mp.sqrt(lo * hi))
+
+
+class TestDysonContract:
+    """Every point of the parameter box meets the solver's contract."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.one_of(st.sampled_from([-0.999, 0.999]),
+                         st.floats(-0.999, 0.999)),
+           log_eta=st.floats(-12.0, 8.0),
+           log_abs=st.floats(-3.0, 4.0),
+           phase=st.floats(0.0, 2.0 * np.pi))
+    @example(rho=0.5, log_eta=-12.0, log_abs=np.log10(1.5), phase=0.0)
+    @example(rho=0.5, log_eta=-12.0, log_abs=np.log10(1.5), phase=np.pi)
+    @example(rho=-0.999, log_eta=-12.0, log_abs=-3.0, phase=0.3)
+    @example(rho=0.999, log_eta=-12.0, log_abs=0.0, phase=0.0)
+    def test_residual_bounds_and_oracle(self, rho, log_eta, log_abs, phase):
+        eta = 10.0 ** log_eta
+        zeta = 10.0 ** log_abs * complex(np.cos(phase), np.sin(phase))
+        sol = solve_dyson(SpectralPoint(zeta, eta), EllipticParam(rho))
+        assert sol.residual <= 1e-12
+        assert 0.0 < sol.v <= min(1.0, 1.0 / eta) + 1e-12
+        assert sol.iterations <= _MAX_STEPS
+        exact = mp_v(complex(zeta), eta, rho)
+        assert abs(sol.v - exact) <= 1e-7 * exact

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ellipticlab import (
+    EllipseRegion,
     EllipticParam,
     distributional_check,
     log_potential,
@@ -35,6 +36,15 @@ def test_origin_against_oracle():
     assert abs(oracle - (-0.5)) < 1e-12          # freeze: L(0) = -1/2
     val = log_potential(0.0, EllipticParam(0.0), quad_tol=1e-6)
     assert abs(val - oracle) < 1e-4
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.7, 0.95])
+def test_inside_matches_closed_form(rho):
+    # inside the ellipse L = (|z|^2 - rho Re z^2) / (2 (1 - rho^2)) - 1/2
+    z = EllipseRegion(rho, delta=0.05).sample_uniform(np.random.default_rng(8), 12)
+    closed = (np.abs(z) ** 2 - rho * (z ** 2).real) / (2.0 * (1.0 - rho ** 2)) - 0.5
+    vals = log_potential_grid(z, EllipticParam(rho), quad_tol=1e-6)
+    assert np.max(np.abs(vals - closed)) < 1e-10
 
 
 def test_origin_rho_independent():
