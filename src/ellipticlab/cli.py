@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -49,6 +50,25 @@ def parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads '-0.5+0.1i' as a value, not as an option.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like a negative real number.  No option here starts with a digit,
+    so any '-' followed by a digit (or '.' and a digit) is a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
+def _single_n(args) -> int:
+    if len(args.n) != 1:
+        raise ValueError(f"{args.command} takes one --n value, got {len(args.n)}")
+    return args.n[0]
 
 
 def _out_dir(args) -> Path:
@@ -201,7 +221,7 @@ def cmd_iso_law(args) -> int:
 
 
 def cmd_deloc(args) -> int:
-    spec = EnsembleSpec(n=args.n[0], rho=args.rho, mu=args.mu, base=args.base,
+    spec = EnsembleSpec(n=_single_n(args), rho=args.rho, mu=args.mu, base=args.base,
                         seed=args.seed)
     return _finish(harness.delocalisation_test(spec, delta=args.delta,
                                                trials=args.trials,
@@ -215,7 +235,7 @@ def cmd_linstats(args) -> int:
 
 
 def cmd_girko(args) -> int:
-    spec = EnsembleSpec(n=args.n[0], rho=args.rho, mu=args.mu, base=args.base,
+    spec = EnsembleSpec(n=_single_n(args), rho=args.rho, mu=args.mu, base=args.base,
                         seed=args.seed)
     mat = sample(spec, trial=0)
     tf = TestFunction(kind=args.kind, center=args.zeta, radius=args.radius)
@@ -361,7 +381,7 @@ def _add_common(p, grid: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellipticlab",
         description="Elliptic ensemble numerics: Dyson equation, Hermitization "
                     "resolvents, local-law experiments.")

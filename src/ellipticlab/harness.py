@@ -396,10 +396,12 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
     """|linear statistic - Girko log-determinant integral| at small n.
 
     The left side sums f over spec X; the right side integrates
-    Delta f * log|det H_zeta| / (4 pi n) with log-determinants from the
-    singular values of X - zeta, a log-singularity exclusion of the given
-    radius around each eigenvalue, and the excluded disks patched
-    analytically.
+    Delta f * log|det H_zeta| / (4 pi n) with log-determinants from the LU
+    factorization of X - zeta (an algorithm independent of the eigensolver
+    on the left), a log-singularity exclusion of the given radius around
+    each eigenvalue, and the excluded disks patched analytically.  Where
+    X - zeta is exactly singular at a node, its zero singular values are
+    floored at 1e-300.
     """
     a = x.entries if isinstance(x, EllipticMatrix) else np.asarray(x, dtype=complex)
     n = a.shape[0]
@@ -409,15 +411,25 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
     lhs = float(np.mean(np.real(tf.f(eigs))))
 
     r0 = exclusion_radius
-    eye = np.eye(n)
+    diag = np.arange(n)
+    # one 256-matrix buffer for every chunk: fresh 1 MB temporaries per
+    # chunk cost a page fault per 4 KB page once the allocator trims them
+    buf = np.empty((256, n, n), dtype=complex)
 
     def integrand(pts):
         out = np.empty(pts.size)
         for start in range(0, pts.size, 256):
             chunk = pts[start:start + 256]
-            shifted = a[None, :, :] - chunk[:, None, None] * eye[None, :, :]
-            svals = np.linalg.svd(shifted, compute_uv=False)
-            logdet = np.sum(np.log(np.maximum(svals, 1e-300)), axis=1)
+            shifted = buf[:chunk.size]
+            shifted[...] = a
+            shifted[:, diag, diag] -= chunk[:, None]
+            sign, logdet = np.linalg.slogdet(shifted)
+            singular = sign == 0
+            if singular.any():
+                # A - zeta exactly singular at a node: floor the zero singular
+                # values only, as the log pole is patched below
+                svals = np.linalg.svd(shifted[singular], compute_uv=False)
+                logdet[singular] = np.sum(np.log(np.maximum(svals, 1e-300)), axis=1)
             # flatten the log pole inside the exclusion disks
             dist = np.abs(chunk[:, None] - eigs[None, :])
             close = dist < r0

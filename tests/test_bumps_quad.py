@@ -103,6 +103,59 @@ class TestQuad2d:
                             (0.0, 10.0, 0.0, 10.0), tol=1e-14, max_depth=30,
                             max_cells=500)
 
+    def test_max_depth_miss_raises(self):
+        # the indicator's edge cannot reach tol=1e-4 in 4 levels (error ~42x tol)
+        with pytest.raises(QuadratureError):
+            adaptive_quad2d(lambda p: (np.abs(p) <= 0.8).astype(float),
+                            (-1.0, 1.0, -1.0, 1.0), tol=1e-4, max_depth=4)
+
+    def test_split_reuses_parent_nodes(self):
+        calls = []
+
+        def bicubic(p):
+            calls.append(p.size)
+            return p.real ** 3 * p.imag ** 3 + p.real * p.imag
+
+        # Simpson is exact for a bicubic: one split, 9 + 16 points (45 without reuse)
+        val, _ = adaptive_quad2d(bicubic, (0.0, 1.0, 0.0, 2.0), tol=1e-10)
+        assert val == pytest.approx(1.0 + 1.0, rel=1e-12)
+        assert calls == [9, 16]
+
+    def test_split_evaluates_only_new_points(self):
+        seen = []
+
+        def gaussian(p):
+            seen.append(p.copy())
+            return np.exp(-np.abs(p) ** 2)
+
+        val, _ = adaptive_quad2d(gaussian, (-6.0, 6.0, -6.0, 6.0), tol=1e-6)
+        assert val == pytest.approx(np.pi, abs=1e-6)
+        assert seen[0].size == 9
+        mid = lambda a, b: 0.5 * (a + b)
+        new = np.ones((5, 5), dtype=bool)
+        new[::2, ::2] = False
+        # each later call holds the 16 new points of every cell it splits, and
+        # those cells are children of the cells split by the call before
+        children = {(-6.0, 6.0, -6.0, 6.0)}
+        for pts in seen[1:]:
+            split = set()
+            for cell in pts.reshape(-1, 16):
+                x0, x1 = cell.real.min(), cell.real.max()
+                y0, y1 = cell.imag.min(), cell.imag.max()
+                assert (x0, x1, y0, y1) in children
+                split.add((x0, x1, y0, y1))
+                xs = np.array([x0, mid(x0, mid(x0, x1)), mid(x0, x1),
+                               mid(mid(x0, x1), x1), x1])
+                ys = np.array([y0, mid(y0, mid(y0, y1)), mid(y0, y1),
+                               mid(mid(y0, y1), y1), y1])
+                expected = (xs[:, None] + 1j * ys[None, :])[new]
+                np.testing.assert_array_equal(np.sort(cell), np.sort(expected))
+            children = {(a, b, c, d) for x0, x1, y0, y1 in split
+                        for a, b in ((x0, mid(x0, x1)), (mid(x0, x1), x1))
+                        for c, d in ((y0, mid(y0, y1)), (mid(y0, y1), y1))}
+        assert len(seen) > 3
+        assert sum(p.size for p in seen) == 9 + 16 * sum(p.size // 16 for p in seen[1:])
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad2d(lambda p: np.ones_like(p.real), (0, 0, 0, 1), tol=1e-6)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, EnsembleSpec
-from ellipticlab.cli import main, parse_complex
+from ellipticlab.cli import build_parser, main, parse_complex
 
 
 class TestParsing:
@@ -19,6 +19,26 @@ class TestParsing:
         assert parse_complex("0.3 + 0.2i") == 0.3 + 0.2j
         with pytest.raises(Exception):
             parse_complex("spam")
+
+    def test_negative_complex_values(self, capsys):
+        args = build_parser().parse_args(
+            ["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "-0.5+0.1i", "0.2",
+             "-.1-2i", "--eta", "0.1"])
+        assert args.zeta == [-0.5 + 0.1j, 0.2, -0.1 - 2j]
+        assert main(["solve-dyson", "--zeta", "-0.5+0.1i", "--eta", "1",
+                     "--rho", "0.5"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["solve-dyson", "--zeta=-0.5+0.1i", "--eta", "1",
+                     "--rho", "0.5"]) == 0
+        assert capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize("command", ["deloc", "girko-check"])
+    def test_single_n_commands_reject_several(self, command, tmp_path, capsys):
+        rc = main([command, "--n", "8", "12", "--trials", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "one --n value" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

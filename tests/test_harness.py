@@ -183,6 +183,13 @@ class TestGirko:
         tf = Bump(center=5.0 + 0.0j, radius=0.5)
         assert girko_consistency(mat, tf, quad_tol=1e-6) <= 1e-4
 
+    def test_eigenvalues_on_quadrature_nodes(self):
+        # A - zeta is exactly singular at the nodes 0, 0.3 and -0.3i; the
+        # value pins the floored-singular-value log-determinant there
+        mat = np.diag([0.0, 0.3, -0.3j, 0.15 + 0.15j])
+        disc = girko_consistency(mat, Bump(center=0.0, radius=0.6), quad_tol=1e-4)
+        assert disc == pytest.approx(2.7234700399e-05, abs=1e-10)
+
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             girko_consistency(np.zeros((128, 128)), Bump(), 1e-4)
