@@ -293,6 +293,12 @@ def cmd_experiment(args) -> int:
         delta=grid_cfg.get("delta", 0.1),
         seed=seed, rho=ens["rho"], mu=ens.get("mu", 1.0),
         base=ens.get("base", "gaussian"))
+    # deloc and density run at one dimension; refuse before anything is written
+    single_n = [name for name in cfg.get("experiments", []) if name in ("deloc", "density")]
+    if single_n and len(grid.n_values) > 1:
+        print(f"{', '.join(single_n)}: takes one n value, got "
+              f"{len(grid.n_values)} in grid.n_values", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out_dir or cfg.get("output_dir")
                or os.environ.get("ELLIPTICLAB_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -361,12 +367,22 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    # in a container cpu_count can exceed the CPUs the process may run on
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common(p, grid: bool = False) -> None:
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: a config's output_dir, "
                         "then $ELLIPTICLAB_OUT, then '.')")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="trials run on this many workers, each with "
+                        "single-threaded BLAS (default: the CPUs this process "
+                        "may use)")
     p.add_argument("--seed", type=int, default=1)
     if grid:
         p.add_argument("--n", type=int, nargs="+", default=[256])

@@ -3,15 +3,24 @@
 Each experiment samples matrices from a seeded ensemble, measures an
 observable against its theoretical envelope, and returns an
 ExperimentReport whose records are reproducible functions of
-(grid, seed, indices).  Records are merged in (n, zeta, eta, trial)
-lexicographic order so thread counts never change the output.
+(grid, seed, indices).  The `threads` argument sets how many trials run at
+once; while they run, the OpenBLAS libraries bundled with numpy and scipy
+are held at one thread each, so there is one level of parallelism and
+every trial does the same arithmetic whatever `threads` is.  Records are
+merged in (n, zeta, eta, trial) lexicographic order, so thread counts never
+change the output.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +33,7 @@ from .spectral import (
     SelfEnergyData,
     decompose,
     default_probes,
+    default_test_matrices,
     error_matrix_norms,
     hermitize,
 )
@@ -135,11 +145,68 @@ class ExperimentReport:
             fh.write("\n")
 
 
+@functools.cache
+def _bundled_openblas() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy and scipy.
+
+    Empty when neither package ships its own OpenBLAS (a build against a
+    system BLAS), in which case the thread count is left alone.
+    """
+    controls = []
+    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
+        libdir = Path(importlib.import_module(pkg).__file__).resolve().parent.parent
+        for path in sorted((libdir / f"{pkg}.libs").glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+class _SingleThreadedBlas:
+    """Holds the bundled OpenBLAS libraries at one thread while any caller is inside.
+
+    The thread count is process-wide, so overlapping holders share one pin:
+    the first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._saved = [(set_, get()) for get, set_ in _bundled_openblas()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_SINGLE_THREADED_BLAS = _SingleThreadedBlas()
+
+
 def _run_tasks(fn, keys, threads: int):
-    if threads <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, keys))
+    # threads == 1 is pinned too: a multithreaded BLAS may round differently,
+    # and records must not depend on `threads`
+    with _SINGLE_THREADED_BLAS:
+        if threads <= 1:
+            return [fn(k) for k in keys]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, keys))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -577,6 +644,9 @@ def dump_functionals(path, rows) -> None:
 def error_matrix_experiment(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
     """Isotropic/averaged error-matrix norms against their predicted scalings."""
     tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
+    # the probes and test matrices are seeded, so every trial at one n shares them
+    probes_by_n = {n: default_probes(2 * n, k=8) for n in grid.n_values}
+    tests_by_n = {n: default_test_matrices(2 * n) for n in grid.n_values}
 
     def run(key):
         n, trial = key
@@ -585,7 +655,8 @@ def error_matrix_experiment(grid: ExperimentGrid, threads: int = 1) -> Experimen
         x = sample(spec, trial)
         dec = decompose(hermitize(x, grid.zeta))
         se = SelfEnergyData.from_spec(spec)
-        iso, avg = error_matrix_norms(x, dec, eta, se)
+        iso, avg = error_matrix_norms(x, dec, eta, se, probes=probes_by_n[n],
+                                      test_matrices=tests_by_n[n])
         im_g = float(np.imag(1j * eta * np.mean(
             1.0 / (dec.singular_values ** 2 + eta ** 2))))
         scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)

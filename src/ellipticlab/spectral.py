@@ -313,10 +313,11 @@ def _spectral_norm_estimate(b: np.ndarray, iters: int = 40, seed: int = 3) -> fl
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
     x /= np.linalg.norm(x)
+    bh = b.conj().T
     est = 0.0
     for _ in range(iters):
         y = b @ x
-        x = b.conj().T @ y
+        x = bh @ y
         nrm = np.linalg.norm(x)
         if nrm == 0:
             return 0.0

@@ -1,6 +1,7 @@
 """CLI subcommands: parsing, outputs, exit codes."""
 
 import json
+import os
 import time
 
 import numpy as np
@@ -39,6 +40,11 @@ class TestParsing:
         assert rc == 2
         assert "one --n value" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_threads_default_is_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert build_parser().parse_args(["local-law"]).threads == 3
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +241,17 @@ class TestExperimentConfig:
         assert (tmp_path / "flag" / report).exists()
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
             "cfg", "env", "flag"]
+
+    @pytest.mark.parametrize("experiment", ["deloc", "density"])
+    def test_single_n_experiments_reject_several_n(self, experiment, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._mini_config(
+            tmp_path / "two.json", output_dir=str(out),
+            grid={"n_values": [32, 48], "zeta": "0.3+0.2i", "trials": 1},
+            experiments=["local-law", experiment])
+        assert main(["experiment", cfg]) == 2
+        assert experiment in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bundled_smoke_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

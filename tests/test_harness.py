@@ -22,8 +22,15 @@ from ellipticlab import (
     small_singular_scan,
 )
 from ellipticlab import TestFunction as Bump
+from ellipticlab import harness
 from ellipticlab.harness import dump_eigenvalues, dump_functionals
-from ellipticlab.spectral import decompose, hermitize, resolvent_functionals
+from ellipticlab.spectral import (
+    decompose,
+    default_test_matrices,
+    error_matrix_norms,
+    hermitize,
+    resolvent_functionals,
+)
 from ellipticlab.quad2d import adaptive_quad2d
 from ellipticlab import elliptic_density, EllipticParam
 
@@ -52,6 +59,60 @@ class TestGridValidation:
             small_grid(trials=0)
 
 
+# the experiments that run their trials through the pool, called as the CLI calls them
+POOLED_EXPERIMENTS = {
+    "local-law": lambda grid, threads: averaged_local_law(grid, threads=threads),
+    "iso-law": lambda grid, threads: isotropic_local_law(grid, threads=threads),
+    "ssv-scan": lambda grid, threads: small_singular_scan(grid, threads=threads),
+    "deloc": lambda grid, threads: delocalisation_test(
+        grid.ensemble_spec(grid.n_values[0]), delta=grid.delta, trials=grid.trials,
+        threads=threads),
+    "linstats": lambda grid, threads: linear_statistics(
+        grid, Bump(center=grid.zeta, alpha=0.25), threads=threads),
+    "error-matrix": lambda grid, threads: error_matrix_experiment(grid, threads=threads),
+}
+
+
+class TestThreads:
+    @pytest.mark.parametrize("experiment", sorted(POOLED_EXPERIMENTS))
+    def test_thread_count_does_not_change_records(self, experiment):
+        run = POOLED_EXPERIMENTS[experiment]
+        grid = small_grid(n_values=(256,), trials=2)
+        a = run(grid, 1)
+        b = run(grid, 2)
+        assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+
+    @pytest.fixture
+    def blas(self):
+        controls = harness._bundled_openblas()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS found")
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tasks_run_on_single_threaded_blas(self, blas, threads):
+        before = [get() for get, _ in blas]
+        seen = harness._run_tasks(lambda _: [get() for get, _ in blas], range(4), threads)
+        assert seen == [[1] * len(blas)] * 4
+        assert [get() for get, _ in blas] == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_threads_restored_after_a_task_raises(self, blas, threads):
+        before = [get() for get, _ in blas]
+
+        def fail(_):
+            raise RuntimeError("trial failed")
+
+        with pytest.raises(RuntimeError, match="trial failed"):
+            harness._run_tasks(fail, range(4), threads)
+        assert [get() for get, _ in blas] == before
+
+
 class TestAveragedLaw:
     def test_small_run(self):
         rep = averaged_local_law(small_grid())
@@ -63,11 +124,6 @@ class TestAveragedLaw:
     def test_bit_identical_reruns(self):
         a = averaged_local_law(small_grid())
         b = averaged_local_law(small_grid())
-        assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
-
-    def test_thread_count_does_not_change_records(self):
-        a = averaged_local_law(small_grid())
-        b = averaged_local_law(small_grid(), threads=2)
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
     def test_eta_sweep_envelope_monotone(self):
@@ -296,6 +352,23 @@ class TestErrorMatrixExperiment:
         assert rep.passed
         for rec in rep.records:
             assert rec.extras["iso"] <= 10 * rec.extras["iso_envelope"]
+
+    def test_test_matrices_built_once_per_n(self, monkeypatch):
+        built = []
+
+        def counting(n2, *args, **kwargs):
+            built.append(n2)
+            return default_test_matrices(n2, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "default_test_matrices", counting)
+        grid = small_grid(n_values=(64, 128), trials=3)
+        shared = error_matrix_experiment(grid, threads=2)
+        assert sorted(built) == [128, 256]
+        # the per-trial path: error_matrix_norms builds its own probes and test matrices
+        monkeypatch.setattr(harness, "error_matrix_norms",
+                            lambda x, dec, eta, se, **_: error_matrix_norms(x, dec, eta, se))
+        per_trial = error_matrix_experiment(grid, threads=2)
+        assert [r.to_dict() for r in shared.records] == [r.to_dict() for r in per_trial.records]
 
 
 class TestDumps:
