@@ -374,15 +374,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _add_threads(p) -> None:
+    """--threads, for the subcommands that run trials in a pool."""
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="trials run on this many workers, each with "
+                        "single-threaded BLAS (default: the CPUs this process "
+                        "may use)")
+
+
 def _add_common(p, grid: bool = False) -> None:
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: a config's output_dir, "
                         "then $ELLIPTICLAB_OUT, then '.')")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="trials run on this many workers, each with "
-                        "single-threaded BLAS (default: the CPUs this process "
-                        "may use)")
     p.add_argument("--seed", type=int, default=1)
     if grid:
         p.add_argument("--n", type=int, nargs="+", default=[256])
@@ -462,13 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{name} experiment")
         _add_common(p, grid=True)
+        _add_threads(p)
         if extra == "linstats":
             p.add_argument("--alpha", type=float, default=0.25)
             p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                            default="polynomial-bump")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("girko-check", help="Girko identity at small n")
+    p = sub.add_parser("girko-check", help="Girko identity on one sample, n <= 256")
     _add_common(p, grid=True)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
@@ -489,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run experiments from a JSON config")
     p.add_argument("config")
     _add_common(p)
+    _add_threads(p)
     # without --seed the config's seed applies
     p.set_defaults(func=cmd_experiment, seed=None)
 

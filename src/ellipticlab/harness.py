@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import hessenberg
 
 from .bumps import TestFunction
 from .dyson import EllipseRegion, solve_dyson_grid
@@ -458,57 +459,108 @@ def linear_statistics(grid: ExperimentGrid, tf: TestFunction,
     return ExperimentReport("linear_statistics", params, records, summary)
 
 
+# complex entries of the Hyman working array (1 MB): nodes go through the
+# recurrence in blocks of _HYMAN_ENTRIES // n, whatever n is
+_HYMAN_ENTRIES = 65536
+
+
+def _hessenberg_blocks(a) -> list:
+    """Irreducible diagonal blocks of the upper Hessenberg form of a.
+
+    X = Q H Q^H with Q unitary, so det(X - zeta) = det(H - zeta), and H is
+    block upper triangular wherever a subdiagonal entry is exactly zero:
+    the determinant is the product of those of its diagonal blocks.
+    """
+    h = hessenberg(a)
+    cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), h.shape[0]]
+    return [h[lo:hi, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _hyman_log_abs_det(hb, zeta, work) -> np.ndarray:
+    """log|det(hb - zeta)| at each node zeta for an irreducible Hessenberg block.
+
+    Hyman's method: with x_k = 1, the rows k, ..., 2 of (hb - zeta) x = c e_1
+    give x_{k-1}, ..., x_1 by back-substitution up the subdiagonal, and
+    |det(hb - zeta)| = |c| prod_i |h_{i+1,i}|.  O(k^2) per node, nodes on
+    the last axis.  Each step rescales x so that its largest entry is 1
+    and adds the log of the scale, so nothing overflows or underflows.
+    Where c is exactly 0 (hb - zeta singular) the value is -inf.  `work`
+    is a complex buffer of at least k * zeta.size entries.
+    """
+    k, m = hb.shape[0], zeta.size
+    x = work[:k * m].reshape(k, m)
+    x[k - 1] = 1.0
+    log_scale = np.zeros(m)
+    for i in range(k - 1, 0, -1):
+        s = hb[i, i:] @ x[i:]
+        s -= zeta * x[i]
+        h = hb[i, i - 1]
+        # x_{i-1} = -s/h; scaling x by |h|/d keeps every entry <= 1
+        d = np.maximum(np.abs(s), abs(h))
+        x[i:] *= abs(h) / d
+        x[i - 1] = s * (-abs(h) / h) / d
+        log_scale += np.log(d)
+    c = hb[0] @ x - zeta * x[0]
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(c)) + log_scale
+
+
 def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
                       exclusion_radius: float = 1e-4) -> float:
-    """|linear statistic - Girko log-determinant integral| at small n.
+    """|linear statistic - Girko log-determinant integral| for n <= 256.
 
     The left side sums f over spec X; the right side integrates
-    Delta f * log|det H_zeta| / (4 pi n) with log-determinants from the LU
-    factorization of X - zeta (an algorithm independent of the eigensolver
-    on the left), a log-singularity exclusion of the given radius around
-    each eigenvalue, and the excluded disks patched analytically.  Where
-    X - zeta is exactly singular at a node, its zero singular values are
-    floored at 1e-300.
+    Delta f * log|det H_zeta| / (4 pi n), with log|det(X - zeta)| at each
+    node from one Hessenberg reduction X = Q H Q^H, done once, and Hyman's
+    method on each irreducible block of H in O(n^2) per node.  So the right
+    side shares its first step, the Hessenberg reduction, with LAPACK's
+    `eigvals` on the left; the tests keep `slogdet` (LU) as an independent
+    oracle for the determinants.  A log-singularity exclusion of the given
+    radius around each eigenvalue is patched analytically.
+    Where a block's residual is exactly 0 at a node (X - zeta singular),
+    the node's value is the sum of the logs of the singular values of
+    X - zeta, the zero ones floored at 1e-300.
     """
     a = x.entries if isinstance(x, EllipticMatrix) else np.asarray(x, dtype=complex)
     n = a.shape[0]
-    if n > 64:
-        raise ValueError("girko_consistency is a dense-quadrature check; need n <= 64")
+    if n > 256:
+        raise ValueError("girko_consistency is a dense-quadrature check; need n <= 256")
     eigs = np.linalg.eigvals(a)
     lhs = float(np.mean(np.real(tf.f(eigs))))
 
     r0 = exclusion_radius
     diag = np.arange(n)
-    # one 256-matrix buffer for every chunk: fresh 1 MB temporaries per
-    # chunk cost a page fault per 4 KB page once the allocator trims them
-    buf = np.empty((256, n, n), dtype=complex)
+    blocks = _hessenberg_blocks(a)
+    chunk = max(1, _HYMAN_ENTRIES // n)
+    work = np.empty(n * chunk, dtype=complex)
 
     def integrand(pts):
         out = np.empty(pts.size)
-        for start in range(0, pts.size, 256):
-            chunk = pts[start:start + 256]
-            shifted = buf[:chunk.size]
-            shifted[...] = a
-            shifted[:, diag, diag] -= chunk[:, None]
-            sign, logdet = np.linalg.slogdet(shifted)
-            singular = sign == 0
+        for start in range(0, pts.size, chunk):
+            nodes = pts[start:start + chunk]
+            logdet = sum(_hyman_log_abs_det(hb, nodes, work) for hb in blocks)
+            singular = np.isneginf(logdet)
             if singular.any():
                 # A - zeta exactly singular at a node: floor the zero singular
                 # values only, as the log pole is patched below
-                svals = np.linalg.svd(shifted[singular], compute_uv=False)
+                shifted = np.repeat(a[None], int(singular.sum()), axis=0)
+                shifted[:, diag, diag] -= nodes[singular, None]
+                svals = np.linalg.svd(shifted, compute_uv=False)
                 logdet[singular] = np.sum(np.log(np.maximum(svals, 1e-300)), axis=1)
             # flatten the log pole inside the exclusion disks
-            dist = np.abs(chunk[:, None] - eigs[None, :])
+            dist = np.abs(nodes[:, None] - eigs[None, :])
             close = dist < r0
             if close.any():
                 patch = np.where(close, np.log(r0 / np.maximum(dist, 1e-300)), 0.0)
                 logdet = logdet + patch.sum(axis=1)
-            out[start:start + 256] = logdet
+            out[start:start + chunk] = logdet
         return np.real(tf.laplacian(pts)) * out / (2.0 * np.pi * n)
 
     c, r = tf.center, tf.radius
     box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
-    val, _ = adaptive_quad2d(integrand, box, tol=quad_tol, max_depth=14)
+    # the per-node matvecs are small: multithreaded BLAS only adds overhead
+    with _SINGLE_THREADED_BLAS:
+        val, _ = adaptive_quad2d(integrand, box, tol=quad_tol, max_depth=14)
     # analytic value of the excluded log-singular disks
     inside = np.abs(eigs - c) <= r + r0
     correction = -(r0 ** 2 / (4.0 * n)) * float(

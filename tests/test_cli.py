@@ -46,6 +46,20 @@ class TestParsing:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert build_parser().parse_args(["local-law"]).threads == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "8", "--rho", "0.5"],
+        ["density", "--rho", "0.5"],
+        ["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1"],
+        ["mc-check"],
+        ["girko-check", "--n", "8"],
+    ])
+    def test_threads_rejected_where_unused(self, argv, tmp_path):
+        # only the trial pools read --threads
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "7", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

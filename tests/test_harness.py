@@ -246,9 +246,95 @@ class TestGirko:
         disc = girko_consistency(mat, Bump(center=0.0, radius=0.6), quad_tol=1e-4)
         assert disc == pytest.approx(2.7234700399e-05, abs=1e-10)
 
+    def test_mesoscopic_bump_at_n_256(self):
+        mat = sample(EnsembleSpec(n=256, rho=0.5, seed=6))
+        disc = girko_consistency(mat, Bump(center=0.0, radius=0.3), quad_tol=1e-4)
+        assert disc <= 1e-3
+
+    @pytest.mark.parametrize("trial, expected", [
+        (0, 2.2026610576611483e-05), (1, 1.4019517355211286e-04),
+        (2, 1.3605304690811337e-04), (4, 1.9161024965860807e-04),
+        (6, 3.651813741545329e-05), (8, 3.225444510570469e-04)])
+    def test_catalogue_discrepancies_pinned(self, trial, expected):
+        # criterion 13's seed 6 at quad_tol 2e-4; the values the per-node
+        # LU (slogdet) route gave
+        mat = sample(EnsembleSpec(n=16, rho=0.5, seed=6), trial)
+        disc = girko_consistency(mat, Bump(center=0.0, radius=0.6), quad_tol=2e-4)
+        assert disc == pytest.approx(expected, abs=1e-12)
+
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
-            girko_consistency(np.zeros((128, 128)), Bump(), 1e-4)
+            girko_consistency(np.zeros((512, 512)), Bump(), 1e-4)
+
+
+def _random_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+
+def _random_nodes(count, seed):
+    rng = np.random.default_rng(seed)
+    return 1.5 * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
+
+
+def _hyman_log_abs_det(a, nodes):
+    work = np.empty(a.shape[0] * nodes.size, dtype=complex)
+    return sum(harness._hyman_log_abs_det(hb, nodes, work)
+               for hb in harness._hessenberg_blocks(a))
+
+
+def _slogdet_log_abs_det(a, nodes):
+    eye = np.eye(a.shape[0])
+    return np.array([np.linalg.slogdet(a - z * eye)[1] for z in nodes])
+
+
+def _assert_matches_slogdet(a, nodes):
+    ref = _slogdet_log_abs_det(a, nodes)
+    got = _hyman_log_abs_det(a, nodes)
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestHymanLogDet:
+    """Hessenberg + Hyman log|det(X - zeta)| against LU (slogdet)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    def test_random_nodes(self, n):
+        _assert_matches_slogdet(_random_matrix(n, n), _random_nodes(40, n + 1))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_scaled_matrix(self, scale):
+        # log|det| ~ 16 log(scale): the per-step rescaling keeps x finite
+        _assert_matches_slogdet(scale * _random_matrix(16, 3),
+                                scale * _random_nodes(40, 4))
+
+    @pytest.mark.parametrize("rows", [[9], [4, 9]])
+    def test_tiny_subdiagonal_entries(self, rows):
+        # two entries of 1e-300 put 1e600 into x without the rescaling
+        a = np.triu(_random_matrix(16, 5), -1)
+        for row in rows:
+            a[row, row - 1] = 1e-300
+        _assert_matches_slogdet(a, _random_nodes(40, 6))
+
+    def test_block_diagonal_splits_at_zero_subdiagonal(self):
+        a = np.zeros((16, 16), dtype=complex)
+        a[:5, :5] = _random_matrix(5, 7)
+        a[5, 5] = 0.4 - 0.2j
+        a[6:, 6:] = _random_matrix(10, 8)
+        blocks = harness._hessenberg_blocks(a)
+        assert [len(hb) for hb in blocks] == [5, 1, 10]
+        _assert_matches_slogdet(a, _random_nodes(40, 9))
+
+    def test_node_on_an_eigenvalue(self):
+        # triangular X keeps its diagonal through the reduction, so the
+        # residual is exactly 0 where a node equals a diagonal entry
+        a = np.triu(_random_matrix(8, 10))
+        nodes = np.concatenate([np.diag(a)[[2, 5]], _random_nodes(20, 11)])
+        sign, ref = zip(*(np.linalg.slogdet(a - z * np.eye(8)) for z in nodes))
+        got = _hyman_log_abs_det(a, nodes)
+        assert np.all(np.isneginf(got[:2])) and np.all(np.asarray(sign)[:2] == 0)
+        ref = np.asarray(ref)[2:]
+        assert np.all(np.abs(got[2:] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestMonteCarlo:

@@ -47,6 +47,32 @@ def test_inside_matches_closed_form(rho):
     assert np.max(np.abs(vals - closed)) < 1e-10
 
 
+def joukowski_potential(z, rho):
+    """L outside the ellipse: log|w| + Re(rho / (2 w^2)), z = w + rho/w, |w| > 1."""
+    root = np.sqrt(z * z - 4.0 * rho)
+    w = np.where(np.abs(z + root) >= np.abs(z - root), z + root, z - root) / 2.0
+    assert np.all(np.abs(w) > 1.0)
+    return np.log(np.abs(w)) + (rho / (2.0 * w * w)).real
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.7, 0.95])
+def test_outside_matches_joukowski_closed_form(rho):
+    # |w| in [1.1, 8] maps outside the ellipse and into |zeta| <= 9 + |rho|
+    rng = np.random.default_rng(9)
+    w = rng.uniform(1.1, 8.0, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
+    z = w + rho / w
+    assert not np.any(EllipseRegion(rho).contains(z))
+    vals = log_potential_grid(z, EllipticParam(rho), quad_tol=1e-6)
+    assert np.max(np.abs(vals - joukowski_potential(z, rho))) < 1e-10
+
+
+def test_far_field_within_quad_tol():
+    z = 1e4 * np.exp(1j * np.array([0.0, 0.7, 2.0, -2.5]))
+    for rho in (0.0, 0.5, -0.7, 0.95):
+        vals = log_potential_grid(z, EllipticParam(rho), quad_tol=1e-6)
+        assert np.max(np.abs(vals - joukowski_potential(z, rho))) <= 1e-6
+
+
 def test_origin_rho_independent():
     # v(0, eta) does not involve rho, so neither does L(0)
     for rho in (0.0, 0.5, -0.7):
