@@ -39,6 +39,7 @@ from .harness import (
     isotropic_local_law,
     linear_statistics,
     monte_carlo_estimate,
+    run_experiments,
     small_singular_scan,
 )
 from .potential import (

@@ -210,14 +210,25 @@ def _finish(report, args) -> int:
     return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED
 
 
-def cmd_local_law(args) -> int:
-    return _finish(harness.averaged_local_law(_grid_from_args(args),
-                                              threads=args.threads), args)
+# options of the registry experiments that take any, read from a config dict
+# or from a subcommand's flags, vars(args): name -> (grid, cfg) -> options
+_OPTIONS = {
+    "deloc": lambda grid, cfg: {"delta": max(grid.delta, 0.1)},
+    "linstats": lambda grid, cfg: {"tf": TestFunction(
+        kind=cfg.get("kind", "polynomial-bump"), center=grid.zeta,
+        alpha=cfg.get("alpha", 0.25))},
+}
 
 
-def cmd_iso_law(args) -> int:
-    return _finish(harness.isotropic_local_law(_grid_from_args(args),
-                                               threads=args.threads), args)
+def _options(name: str, grid, cfg) -> dict:
+    return _OPTIONS[name](grid, cfg) if name in _OPTIONS else {}
+
+
+def cmd_grid_experiment(args) -> int:
+    """local-law, iso-law, ssv-scan or linstats over the --n grid."""
+    grid, name = _grid_from_args(args), args.command
+    return _finish(harness.run_experiments(grid, {name: _options(name, grid, vars(args))},
+                                           threads=args.threads)[name], args)
 
 
 def cmd_deloc(args) -> int:
@@ -228,138 +239,132 @@ def cmd_deloc(args) -> int:
                                                threads=args.threads), args)
 
 
-def cmd_linstats(args) -> int:
-    tf = TestFunction(kind=args.kind, center=args.zeta, alpha=args.alpha)
-    return _finish(harness.linear_statistics(_grid_from_args(args), tf,
-                                             threads=args.threads), args)
+def _girko_check(spec, tf, gate: float, quad_tol: float = 1e-4) -> tuple:
+    """(discrepancy, passed) of Girko's identity on trial 0 of `spec`."""
+    disc = harness.girko_consistency(sample(spec, trial=0), tf, quad_tol=quad_tol)
+    return disc, disc <= gate
 
 
 def cmd_girko(args) -> int:
     spec = EnsembleSpec(n=_single_n(args), rho=args.rho, mu=args.mu, base=args.base,
                         seed=args.seed)
-    mat = sample(spec, trial=0)
     tf = TestFunction(kind=args.kind, center=args.zeta, radius=args.radius)
-    discrepancy = harness.girko_consistency(mat, tf, quad_tol=args.quad_tol)
-    ok = discrepancy <= args.gate
-    print(json.dumps({"discrepancy": discrepancy, "gate": args.gate, "passed": ok},
-                     indent=2))
+    disc, ok = _girko_check(spec, tf, args.gate, args.quad_tol)
+    print(json.dumps({"discrepancy": disc, "gate": args.gate, "passed": ok}, indent=2))
     return EXIT_OK if ok else EXIT_EXPERIMENT_FAILED
 
 
-def cmd_mc_check(args) -> int:
-    region = EllipseRegion(args.rho, args.delta)
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 7]))
+def _violation_frequency(region, rng, reps: int, m: int, mc_delta: float) -> float:
+    """Share of `reps` Monte Carlo means of Re z outside their deviation bound."""
     violations = 0
-    for _ in range(args.reps):
-        est, bound = harness.monte_carlo_estimate(lambda z: z.real, region,
-                                                  args.m, args.mc_delta, rng)
-        if abs(est) > bound:
-            violations += 1
-    freq = violations / args.reps
+    for _ in range(reps):
+        est, bound = harness.monte_carlo_estimate(lambda z: z.real, region, m,
+                                                  mc_delta, rng)
+        violations += abs(est) > bound
+    return violations / reps
+
+
+def cmd_mc_check(args) -> int:
+    rng = np.random.Generator(np.random.Philox(key=[args.seed, 7]))
+    freq = _violation_frequency(EllipseRegion(args.rho, args.delta), rng, args.reps,
+                                args.m, args.mc_delta)
     ok = freq <= args.mc_delta
     print(json.dumps({"violation_frequency": freq, "delta": args.mc_delta,
                       "reps": args.reps, "passed": ok}, indent=2))
     return EXIT_OK if ok else EXIT_EXPERIMENT_FAILED
 
 
-def cmd_ssv_scan(args) -> int:
-    return _finish(harness.small_singular_scan(_grid_from_args(args),
-                                               threads=args.threads), args)
+def _config_girko(grid, cfg):
+    spec = EnsembleSpec(n=cfg.get("girko_n", 16), rho=grid.rho, mu=grid.mu,
+                        base=grid.base, seed=grid.seed)
+    if spec.n > harness.GIRKO_MAX_N:
+        raise ValueError(f"girko-check: girko_n must be <= {harness.GIRKO_MAX_N}, "
+                         f"got {spec.n}")
+    gate = cfg.get("girko_gate", 1e-3)
+
+    def run() -> bool:
+        disc, ok = _girko_check(spec, TestFunction(center=grid.zeta, radius=0.5), gate)
+        print(json.dumps({"experiment": "girko-check", "discrepancy": disc, "passed": ok}))
+        return ok
+    return run
+
+
+def _config_mc(grid, cfg):
+    region = EllipseRegion(grid.rho, grid.delta)
+    reps = cfg.get("mc_reps", 200)
+
+    def run() -> bool:
+        rng = np.random.Generator(np.random.Philox(key=[grid.seed, 11]))
+        freq = _violation_frequency(region, rng, reps, 100, 0.1)
+        ok = freq <= 0.1
+        print(json.dumps({"experiment": "mc-check", "violation_frequency": freq,
+                          "passed": ok}))
+        return ok
+    return run
+
+
+# config experiments outside the registry: name -> (grid, cfg) -> run() -> passed
+_CONFIG_CHECKS = {"girko-check": _config_girko, "mc-check": _config_mc}
+
+
+def _emit(result, out: Path, fmt: str) -> bool:
+    """Write one registry experiment's outputs and print its line; True if it passed."""
+    if isinstance(result, harness.DensityMap):
+        result.write_csv(out / "density_map.csv")
+        print(json.dumps({"experiment": "density", "mass_inside": result.mass_inside}))
+        return True
+    _write_report(result, out, fmt)
+    print(json.dumps({"experiment": result.name, "passed": result.passed,
+                      "summary": result.summary}, default=str))
+    return result.passed
+
+
+def _read_config(name: str):
+    path = Path(name)
+    if path.exists():
+        return json.loads(path.read_text())
+    bundled = resources.files("ellipticlab").joinpath("configs", path.name)
+    return json.loads(bundled.read_text()) if bundled.is_file() else None
 
 
 def cmd_experiment(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        bundled = resources.files("ellipticlab").joinpath("configs", path.name)
-        if bundled.is_file():
-            cfg = json.loads(bundled.read_text())
-        else:
-            print(f"config not found: {args.config}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        cfg = json.loads(path.read_text())
-
+    cfg = _read_config(args.config)
+    if cfg is None:
+        print(f"config not found: {args.config}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.get("schema") != SCHEMA_VERSION:
         print(f"unsupported config schema {cfg.get('schema')!r}", file=sys.stderr)
         return EXIT_USAGE
     ens = cfg["ensemble"]
     grid_cfg = cfg["grid"]
-    seed = args.seed if args.seed is not None else ens.get("seed", 0)
     grid = ExperimentGrid(
         n_values=tuple(grid_cfg["n_values"]),
         zeta=parse_complex(grid_cfg["zeta"]),
         eta_rule=EtaRule(beta=grid_cfg.get("beta", 0.75)),
         trials=grid_cfg.get("trials", 3),
         delta=grid_cfg.get("delta", 0.1),
-        seed=seed, rho=ens["rho"], mu=ens.get("mu", 1.0),
-        base=ens.get("base", "gaussian"))
-    # deloc and density run at one dimension; refuse before anything is written
-    single_n = [name for name in cfg.get("experiments", []) if name in ("deloc", "density")]
-    if single_n and len(grid.n_values) > 1:
-        print(f"{', '.join(single_n)}: takes one n value, got "
-              f"{len(grid.n_values)} in grid.n_values", file=sys.stderr)
+        seed=args.seed if args.seed is not None else ens.get("seed", 0),
+        rho=ens["rho"], mu=ens.get("mu", 1.0), base=ens.get("base", "gaussian"))
+    names = cfg.get("experiments", [])
+    unknown = [name for name in names
+               if name not in harness.EXPERIMENTS and name not in _CONFIG_CHECKS]
+    if unknown:
+        print(f"unknown experiment {unknown[0]!r}", file=sys.stderr)
         return EXIT_USAGE
+    # every option is checked before anything runs or is written
+    checks = {name: _CONFIG_CHECKS[name](grid, cfg) for name in names
+              if name in _CONFIG_CHECKS}
+    requests = {name: _options(name, grid, cfg) for name in names
+                if name in harness.EXPERIMENTS}
+    results = harness.run_experiments(grid, requests, threads=args.threads)
     out = Path(args.out_dir or cfg.get("output_dir")
                or os.environ.get("ELLIPTICLAB_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
-
     failed = []
-    for name in cfg.get("experiments", []):
-        if name == "local-law":
-            rep = harness.averaged_local_law(grid, threads=args.threads)
-        elif name == "iso-law":
-            rep = harness.isotropic_local_law(grid, threads=args.threads)
-        elif name == "deloc":
-            rep = harness.delocalisation_test(grid.ensemble_spec(grid.n_values[0]),
-                                              delta=max(grid.delta, 0.1),
-                                              trials=grid.trials,
-                                              threads=args.threads)
-        elif name == "linstats":
-            tf = TestFunction(center=grid.zeta, alpha=cfg.get("alpha", 0.25))
-            rep = harness.linear_statistics(grid, tf, threads=args.threads)
-        elif name == "ssv-scan":
-            rep = harness.small_singular_scan(grid, threads=args.threads)
-        elif name == "error-matrix":
-            rep = harness.error_matrix_experiment(grid, threads=args.threads)
-        elif name == "girko-check":
-            spec = EnsembleSpec(n=cfg.get("girko_n", 16), rho=grid.rho,
-                                mu=grid.mu, base=grid.base, seed=seed)
-            disc = harness.girko_consistency(sample(spec, 0),
-                                             TestFunction(center=grid.zeta,
-                                                          radius=0.5))
-            ok = disc <= cfg.get("girko_gate", 1e-3)
-            print(json.dumps({"experiment": "girko-check",
-                              "discrepancy": disc, "passed": ok}))
-            if not ok:
-                failed.append(name)
-            continue
-        elif name == "mc-check":
-            rng = np.random.Generator(np.random.Philox(key=[seed, 11]))
-            region = EllipseRegion(grid.rho, grid.delta)
-            reps = cfg.get("mc_reps", 200)
-            bad = sum(1 for _ in range(reps)
-                      if (lambda eb: abs(eb[0]) > eb[1])(
-                          harness.monte_carlo_estimate(lambda z: z.real, region,
-                                                       100, 0.1, rng)))
-            ok = bad / reps <= 0.1
-            print(json.dumps({"experiment": "mc-check",
-                              "violation_frequency": bad / reps, "passed": ok}))
-            if not ok:
-                failed.append(name)
-            continue
-        elif name == "density":
-            dm = harness.density_map(grid.ensemble_spec(grid.n_values[0]))
-            dm.write_csv(out / "density_map.csv")
-            print(json.dumps({"experiment": "density",
-                              "mass_inside": dm.mass_inside}))
-            continue
-        else:
-            print(f"unknown experiment {name!r}", file=sys.stderr)
-            return EXIT_USAGE
-        _write_report(rep, out, args.format)
-        print(json.dumps({"experiment": rep.name, "passed": rep.passed,
-                          "summary": rep.summary}, default=str))
-        if not rep.passed:
+    for name in names:
+        passed = (_emit(results[name], out, args.format) if name in results
+                  else checks[name]())
+        if not passed:
             failed.append(name)
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -382,22 +387,26 @@ def _add_threads(p) -> None:
                         "may use)")
 
 
-def _add_common(p, grid: bool = False) -> None:
+def _add_common(p) -> None:
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: a config's output_dir, "
                         "then $ELLIPTICLAB_OUT, then '.')")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--seed", type=int, default=1)
+
+
+def _add_sample(p, grid: bool = True) -> None:
+    """The ensemble and spectral point of a sampled experiment; `grid` adds its scan."""
+    p.add_argument("--n", type=int, nargs="+", default=[256])
+    p.add_argument("--zeta", type=parse_complex, default=parse_complex("0.3+0.2i"))
     if grid:
-        p.add_argument("--n", type=int, nargs="+", default=[256])
-        p.add_argument("--zeta", type=parse_complex, default=parse_complex("0.3+0.2i"))
         p.add_argument("--beta", type=float, default=0.75)
         p.add_argument("--trials", type=int, default=3)
         p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--rho", type=float, default=0.5)
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
-                       default="gaussian")
+    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
+                   default="gaussian")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,24 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    for name, func, extra in (
-            ("local-law", cmd_local_law, None),
-            ("iso-law", cmd_iso_law, None),
-            ("ssv-scan", cmd_ssv_scan, None),
-            ("deloc", cmd_deloc, None),
-            ("linstats", cmd_linstats, "linstats"),
-    ):
+    for name in ("local-law", "iso-law", "ssv-scan", "deloc", "linstats"):
         p = sub.add_parser(name, help=f"{name} experiment")
-        _add_common(p, grid=True)
+        _add_common(p)
+        _add_sample(p)
         _add_threads(p)
-        if extra == "linstats":
+        if name == "linstats":
             p.add_argument("--alpha", type=float, default=0.25)
             p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                            default="polynomial-bump")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_deloc if name == "deloc" else cmd_grid_experiment)
 
+    # girko-check prints its result and writes nothing
     p = sub.add_parser("girko-check", help="Girko identity on one sample, n <= 256")
-    _add_common(p, grid=True)
+    p.add_argument("--seed", type=int, default=1)
+    _add_sample(p, grid=False)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                    default="polynomial-bump")

@@ -3,12 +3,26 @@
 Each experiment samples matrices from a seeded ensemble, measures an
 observable against its theoretical envelope, and returns an
 ExperimentReport whose records are reproducible functions of
-(grid, seed, indices).  The `threads` argument sets how many trials run at
-once; while they run, the OpenBLAS libraries bundled with numpy and scipy
-are held at one thread each, so there is one level of parallelism and
-every trial does the same arithmetic whatever `threads` is.  Records are
-merged in (n, zeta, eta, trial) lexicographic order, so thread counts never
-change the output.
+(grid, seed, indices).
+
+The sample-based experiments are the entries of one registry,
+`EXPERIMENTS`.  An entry declares up front which factorizations of a
+sampled X it reads (`eig`, `eigvals`, the SVD of X - zeta with or without
+vectors), builds what the trials at one n share (the Dyson solution, probes,
+test matrices, density integrals) once before any trial runs, turns one
+`TrialContext` into records, and summarizes its records.  `run_experiments`
+runs any set of entries over one pool of (n, trial) tasks.  Each task
+samples X once and factors it once for the union of the needs (`eig`
+covers `eigvals`, the SVD with vectors covers the one without), every entry
+reads that context, and the context is dropped when the task ends.  The
+public experiment functions are single-entry calls of `run_experiments`.
+
+The `threads` argument sets how many tasks run at once; while they run, the
+OpenBLAS libraries bundled with numpy and scipy are held at one thread
+each, so there is one level of parallelism and every task does the same
+arithmetic whatever `threads` is.  Records are merged in
+(n, zeta, eta, trial) lexicographic order, so thread counts never change
+the output.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import hessenberg
@@ -30,18 +45,24 @@ from .dyson import EllipseRegion, solve_dyson_grid
 from .ensemble import EllipticMatrix, EnsembleSpec, sample
 from .quad2d import adaptive_quad2d
 from .spectral import (
+    BLOCK_TESTS,
     ResolventSolver,
     SelfEnergyData,
+    SpectralDecomposition,
     decompose,
     default_probes,
     default_test_matrices,
     error_matrix_norms,
     hermitize,
+    resolvent_trace,
+    small_singular_count,
+    smallest_singular_value,
 )
 
 EPSILON_EXPONENT = 0.1     # fixed stand-in for the paper's arbitrary epsilon
 MEDIAN_CONSTANT = 10.0     # empirical constant cap for median-vs-envelope gates
 EIGVEC_RESIDUAL_GATE = 1e-6
+GIRKO_MAX_N = 256          # largest n the dense Girko quadrature accepts
 
 
 @dataclass(frozen=True)
@@ -125,10 +146,15 @@ class ExperimentRecord:
 
 @dataclass
 class ExperimentReport:
+    """An experiment's records, in ExperimentRecord.sort_key order, and summary."""
+
     name: str
     params: dict
     records: list
     summary: dict
+
+    def __post_init__(self) -> None:
+        self.records = sorted(self.records, key=ExperimentRecord.sort_key)
 
     @property
     def passed(self) -> bool:
@@ -221,49 +247,11 @@ def _median_by_n(records, n_values):
             for n in n_values}
 
 
-def averaged_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
-    """|<G> - i v| against n^eps/(n eta) across the (n, trial) grid."""
-    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
-    v_by_n = {}
-    for n in grid.n_values:
-        v, _, _, _ = solve_dyson_grid(grid.zeta, grid.eta_rule.eta(n), grid.rho)
-        v_by_n[n] = float(v)
-
-    def run(key):
-        n, trial = key
-        eta = grid.eta_rule.eta(n)
-        x = sample(grid.ensemble_spec(n), trial)
-        s = np.linalg.svd(x.entries - grid.zeta * np.eye(n), compute_uv=False)
-        avg_g = 1j * eta * np.mean(1.0 / (s ** 2 + eta ** 2))
-        observed = abs(avg_g - 1j * v_by_n[n])
-        envelope = n ** EPSILON_EXPONENT / (n * eta)
-        return ExperimentRecord(
-            experiment="averaged_local_law", n=n, trial=trial, zeta=grid.zeta,
-            eta=eta, observed=observed, envelope=envelope,
-            passed=observed <= MEDIAN_CONSTANT * envelope,
-            extras={"avg_g_re": avg_g.real, "avg_g_im": avg_g.imag, "v": v_by_n[n]})
-
-    records = sorted(_run_tasks(run, tasks, threads), key=ExperimentRecord.sort_key)
-    medians = _median_by_n(records, grid.n_values)
-    neta = {n: n * grid.eta_rule.eta(n) for n in grid.n_values}
-    median_gate = all(medians[n] <= MEDIAN_CONSTANT / neta[n] for n in grid.n_values)
-    slope_vs_neta = (_loglog_slope([neta[n] for n in grid.n_values],
-                                   [medians[n] for n in grid.n_values])
-                     if len(grid.n_values) > 1 else float("nan"))
-    slope_vs_n = (_loglog_slope(list(grid.n_values),
-                                [medians[n] for n in grid.n_values])
-                  if len(grid.n_values) > 1 else float("nan"))
-    empirical_constant = max(medians[n] * neta[n] for n in grid.n_values)
-    summary = {
-        "median_by_n": {str(n): medians[n] for n in grid.n_values},
-        "median_gate": median_gate,
-        "slope_vs_neta": slope_vs_neta,
-        "slope_vs_n": slope_vs_n,
-        "empirical_constant": empirical_constant,
-        "record_pass_fraction": float(np.mean([r.passed for r in records])),
-        "passed": median_gate,
-    }
-    return ExperimentReport("averaged_local_law", _grid_params(grid), records, summary)
+def _median_slope(xs, medians, n_values) -> float:
+    """Log-log slope of the per-n medians against xs, one x per n; nan for one n."""
+    if len(n_values) < 2:
+        return float("nan")
+    return _loglog_slope(xs, [medians[n] for n in n_values])
 
 
 def _grid_params(grid: ExperimentGrid) -> dict:
@@ -275,60 +263,145 @@ def _grid_params(grid: ExperimentGrid) -> dict:
     }
 
 
-_BLOCK_TESTS = {
-    "I": np.eye(2, dtype=complex),
-    "E-": np.diag([1.0, -1.0]).astype(complex),
-    "sx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "sy": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-}
+# -- trial contexts and the experiment registry ---------------------------------
 
+@dataclass
+class TrialContext:
+    """One sampled X at (n, trial) and its factorizations, each computed once.
 
-def isotropic_local_law(grid: ExperimentGrid, n_pairs: int = 20,
-                        threads: int = 1) -> ExperimentReport:
-    """max over probe pairs of |<x, (G - M) y>| against n^eps/sqrt(n eta)."""
-    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
-    mb_by_n = {}
-    for n in grid.n_values:
-        v, b, _, _ = solve_dyson_grid(grid.zeta, grid.eta_rule.eta(n), grid.rho)
-        mb_by_n[n] = (float(v), complex(b))
+    `eigenvalues` are X's, from `eig` (with `eigenvectors`) when an
+    experiment needs the vectors and from `eigvals` otherwise; `dec` is the
+    SVD of X - zeta, with vectors when an experiment needs them.  What no
+    experiment needs stays None.
+    """
 
-    def run(key):
-        n, trial = key
-        eta = grid.eta_rule.eta(n)
-        v, b = mb_by_n[n]
-        m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
+    n: int
+    trial: int
+    zeta: complex
+    eta: float
+    x: EllipticMatrix
+    eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
+    dec: SpectralDecomposition | None = None
+
+    @classmethod
+    def build(cls, grid: ExperimentGrid, n: int, trial: int, needs) -> "TrialContext":
         x = sample(grid.ensemble_spec(n), trial)
-        solver = ResolventSolver(x.entries, grid.zeta, eta)
-        probes = [p for _, p in default_probes(2 * n, seed=grid.seed, k=2)]
-        pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))
-                 if i <= j][:n_pairs]
-        gy = {}
-        worst = 0.0
-        for i, j in pairs:
-            xp, yp = probes[i], probes[j]
-            if j not in gy:
-                gy[j] = solver.apply(probes[j])
-            gxy = np.vdot(xp, gy[j])
-            x1, x2 = xp[:n], xp[n:]
-            y1, y2 = yp[:n], yp[n:]
-            mxy = (1j * v * np.vdot(xp, yp) + np.conj(b) * np.vdot(x1, y2)
-                   + b * np.vdot(x2, y1))
-            worst = max(worst, abs(gxy - mxy))
-        envelope = n ** EPSILON_EXPONENT / np.sqrt(n * eta)
-        ul = solver.partial_traces()
-        avg_err = abs(solver.avg_trace() - 1j * v)
-        avg_op_err = max(abs(np.trace(c @ (ul - m2))) / 2.0
-                         for c in _BLOCK_TESTS.values())
-        env_avg = n ** EPSILON_EXPONENT / (n * eta)
-        consistent = avg_err <= 2.0 * worst + env_avg
-        return ExperimentRecord(
-            experiment="isotropic_local_law", n=n, trial=trial, zeta=grid.zeta,
-            eta=eta, observed=float(worst), envelope=float(envelope),
-            passed=worst <= MEDIAN_CONSTANT * envelope,
-            extras={"avg_err": float(avg_err), "avg_op_err": float(avg_op_err),
-                    "env_avg": float(env_avg), "trace_consistent": bool(consistent)})
+        ctx = cls(n=n, trial=trial, zeta=grid.zeta, eta=grid.eta_rule.eta(n), x=x)
+        if "eig" in needs:
+            ctx.eigenvalues, ctx.eigenvectors = np.linalg.eig(x.entries)
+        elif "eigvals" in needs:
+            ctx.eigenvalues = np.linalg.eigvals(x.entries)
+        if needs & {"svd", "svdvals"}:
+            ctx.dec = decompose(hermitize(x, grid.zeta), compute_vectors="svd" in needs)
+        return ctx
 
-    records = sorted(_run_tasks(run, tasks, threads), key=ExperimentRecord.sort_key)
+
+class _Setting:
+    """What the trials at one n share; the Dyson solution is solved on first use."""
+
+    def __init__(self, grid: ExperimentGrid, n: int):
+        self.grid, self.n = grid, n
+        self.eta = grid.eta_rule.eta(n)
+        self.spec = grid.ensemble_spec(n)
+
+    @functools.cached_property
+    def dyson(self) -> tuple:
+        """(v, b) of the Dyson solution at (zeta, eta)."""
+        v, b, _, _ = solve_dyson_grid(self.grid.zeta, self.eta, self.grid.rho)
+        return float(v), complex(b)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registry entry: one sample-based experiment in four parts.
+
+    needs      what `observe` reads from a TrialContext: "eig", "eigvals",
+               "svd" (of X - zeta, with vectors) or "svdvals";
+    setup      (setting, **options) -> the state every trial at one n shares;
+    observe    (ctx, state) -> the records of one trial;
+    summarize  (records, grid, state) -> the experiment's result, with the
+               state of the grid's first n.
+
+    A `single_n` experiment runs on grids with one n only; a
+    `first_trial_only` one observes trial 0 only.
+    """
+
+    needs: frozenset
+    setup: Callable
+    observe: Callable
+    summarize: Callable
+    single_n: bool = False
+    first_trial_only: bool = False
+
+
+def _local_law_observe(ctx, v):
+    avg_g = resolvent_trace(ctx.dec, ctx.eta)
+    observed = abs(avg_g - 1j * v)
+    envelope = ctx.n ** EPSILON_EXPONENT / (ctx.n * ctx.eta)
+    return [ExperimentRecord(
+        experiment="averaged_local_law", n=ctx.n, trial=ctx.trial, zeta=ctx.zeta,
+        eta=ctx.eta, observed=observed, envelope=envelope,
+        passed=observed <= MEDIAN_CONSTANT * envelope,
+        extras={"avg_g_re": avg_g.real, "avg_g_im": avg_g.imag, "v": v})]
+
+
+def _local_law_summary(records, grid, _state):
+    medians = _median_by_n(records, grid.n_values)
+    neta = {n: n * grid.eta_rule.eta(n) for n in grid.n_values}
+    median_gate = all(medians[n] <= MEDIAN_CONSTANT / neta[n] for n in grid.n_values)
+    summary = {
+        "median_by_n": {str(n): medians[n] for n in grid.n_values},
+        "median_gate": median_gate,
+        "slope_vs_neta": _median_slope([neta[n] for n in grid.n_values], medians,
+                                       grid.n_values),
+        "slope_vs_n": _median_slope(grid.n_values, medians, grid.n_values),
+        "empirical_constant": max(medians[n] * neta[n] for n in grid.n_values),
+        "record_pass_fraction": float(np.mean([r.passed for r in records])),
+        "passed": median_gate,
+    }
+    return ExperimentReport("averaged_local_law", _grid_params(grid), records, summary)
+
+
+def _iso_law_setup(setting, n_pairs=20):
+    probes = [p for _, p in default_probes(2 * setting.n, seed=setting.grid.seed, k=2)]
+    pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))
+             if i <= j][:n_pairs]
+    return setting.dyson, probes, pairs
+
+
+def _iso_law_observe(ctx, state):
+    (v, b), probes, pairs = state
+    n, eta = ctx.n, ctx.eta
+    m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
+    solver = ResolventSolver(ctx.x.entries, ctx.zeta, eta)
+    gy = {}
+    worst = 0.0
+    for i, j in pairs:
+        xp, yp = probes[i], probes[j]
+        if j not in gy:
+            gy[j] = solver.apply(probes[j])
+        gxy = np.vdot(xp, gy[j])
+        x1, x2 = xp[:n], xp[n:]
+        y1, y2 = yp[:n], yp[n:]
+        mxy = (1j * v * np.vdot(xp, yp) + np.conj(b) * np.vdot(x1, y2)
+               + b * np.vdot(x2, y1))
+        worst = max(worst, abs(gxy - mxy))
+    envelope = n ** EPSILON_EXPONENT / np.sqrt(n * eta)
+    ul = solver.partial_traces()
+    avg_err = abs(solver.avg_trace() - 1j * v)
+    avg_op_err = max(abs(np.trace(c @ (ul - m2))) / 2.0 for c in BLOCK_TESTS.values())
+    env_avg = n ** EPSILON_EXPONENT / (n * eta)
+    consistent = avg_err <= 2.0 * worst + env_avg
+    return [ExperimentRecord(
+        experiment="isotropic_local_law", n=n, trial=ctx.trial, zeta=ctx.zeta,
+        eta=eta, observed=float(worst), envelope=float(envelope),
+        passed=worst <= MEDIAN_CONSTANT * envelope,
+        extras={"avg_err": float(avg_err), "avg_op_err": float(avg_op_err),
+                "env_avg": float(env_avg), "trace_consistent": bool(consistent)})]
+
+
+def _iso_law_summary(records, grid, _state):
     frac = float(np.mean([r.passed for r in records]))
     summary = {
         "record_pass_fraction": frac,
@@ -352,46 +425,226 @@ def deloc_probes(n: int, seed: int, k_random: int = 4):
     return probes
 
 
-def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
-                        trials: int = 10, threads: int = 1) -> ExperimentReport:
-    """sqrt(n) * max bulk eigenvector overlap per probe, against 10 sqrt(log n)."""
-    region = EllipseRegion(spec.rho, delta)
+def _deloc_setup(setting, delta, w_probes=None):
     if w_probes is None:
-        w_probes = deloc_probes(spec.n, seed=spec.seed)
-    envelope = float(np.sqrt(np.log(spec.n)))
+        w_probes = deloc_probes(setting.n, seed=setting.spec.seed)
+    norms = np.array([np.linalg.norm(w) for _, w in w_probes])
+    return EllipseRegion(setting.grid.rho, delta), w_probes, norms
 
-    def run(trial):
-        x = sample(spec, trial)
-        vals, vecs = np.linalg.eig(x.entries)
-        resid = np.linalg.norm(x.entries @ vecs - vecs * vals, axis=0)
-        defective = resid > EIGVEC_RESIDUAL_GATE
-        bulk = np.asarray(region.contains(vals)) & ~defective
-        out = []
-        overlaps = np.abs(np.stack([w for _, w in w_probes]).conj() @ vecs[:, bulk])
-        norms = np.array([np.linalg.norm(w) for _, w in w_probes])
-        for idx, (label, _) in enumerate(w_probes):
-            stat = float(np.sqrt(spec.n) * overlaps[idx].max() / norms[idx]) \
-                if bulk.any() else 0.0
-            out.append(ExperimentRecord(
-                experiment="delocalisation", n=spec.n, trial=trial, zeta=0.0,
-                eta=0.0, observed=stat, envelope=envelope,
-                passed=stat <= MEDIAN_CONSTANT * envelope,
-                extras={"probe": label, "bulk_count": int(bulk.sum()),
-                        "defective_count": int(defective.sum())}))
-        return out
 
-    nested = _run_tasks(run, list(range(trials)), threads)
-    records = sorted([r for batch in nested for r in batch],
-                     key=ExperimentRecord.sort_key)
+def _deloc_observe(ctx, state):
+    region, w_probes, norms = state
+    n, a = ctx.n, ctx.x.entries
+    vals, vecs = ctx.eigenvalues, ctx.eigenvectors
+    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    defective = resid > EIGVEC_RESIDUAL_GATE
+    bulk = np.asarray(region.contains(vals)) & ~defective
+    overlaps = np.abs(np.stack([w for _, w in w_probes]).conj() @ vecs[:, bulk])
+    envelope = float(np.sqrt(np.log(n)))
+    out = []
+    for idx, (label, _) in enumerate(w_probes):
+        stat = float(np.sqrt(n) * overlaps[idx].max() / norms[idx]) if bulk.any() else 0.0
+        out.append(ExperimentRecord(
+            experiment="delocalisation", n=n, trial=ctx.trial, zeta=0.0,
+            eta=0.0, observed=stat, envelope=envelope,
+            passed=stat <= MEDIAN_CONSTANT * envelope,
+            extras={"probe": label, "bulk_count": int(bulk.sum()),
+                    "defective_count": int(defective.sum())}))
+    return out
+
+
+def _deloc_summary(records, grid, state):
+    n, delta = grid.n_values[0], state[0].delta
     summary = {
         "max_stat": max(r.observed for r in records),
-        "envelope": envelope,
+        "envelope": float(np.sqrt(np.log(n))),
         "delta": delta,
         "passed": all(r.passed for r in records),
     }
-    params = {"n": spec.n, "rho": spec.rho, "mu": spec.mu, "base": spec.base,
-              "seed": spec.seed, "delta": delta, "trials": trials}
+    params = {"n": n, "rho": grid.rho, "mu": grid.mu, "base": grid.base,
+              "seed": grid.seed, "delta": delta, "trials": grid.trials}
     return ExperimentReport("delocalisation", params, records, summary)
+
+
+def _linstats_setup(setting, tf):
+    n, grid = setting.n, setting.grid
+    tf.validate(n)
+    rim = tf.center + tf.support_radius(n) * np.exp(1j * np.linspace(0, 2 * np.pi, 181))
+    if not np.all(EllipseRegion(grid.rho, grid.delta).contains(rim)):
+        raise ValueError("test function support leaves the bulk region")
+    return tf, density_integral(tf, grid.rho, n)
+
+
+def _linstats_observe(ctx, state):
+    tf, integral = state
+    n, l1 = ctx.n, tf.norm_delta_l1
+    observed = abs(float(np.mean(np.real(tf.observable(ctx.eigenvalues, n)))) - integral)
+    envelope = float(n) ** (-1.0 + 2.0 * tf.alpha + EPSILON_EXPONENT) * l1
+    return [ExperimentRecord(
+        experiment="linear_statistics", n=n, trial=ctx.trial, zeta=tf.center,
+        eta=0.0, observed=observed, envelope=envelope,
+        passed=observed <= MEDIAN_CONSTANT * envelope,
+        extras={"integral": integral, "alpha": tf.alpha, "l1_delta": l1})]
+
+
+def _linstats_summary(records, grid, state):
+    tf = state[0]
+    l1 = tf.norm_delta_l1
+    medians = _median_by_n(records, grid.n_values)
+    slope = _median_slope(grid.n_values, medians, grid.n_values)
+    slope_gate = (-1.0 + 2.0 * tf.alpha) + 0.2
+    env_gate = all(
+        medians[n] <= MEDIAN_CONSTANT * float(n) ** (-1.0 + 2.0 * tf.alpha) * l1
+        for n in grid.n_values)
+    summary = {
+        "median_by_n": {str(n): medians[n] for n in grid.n_values},
+        "slope_vs_n": slope,
+        "slope_gate": slope_gate,
+        "envelope_gate": env_gate,
+        "passed": env_gate and (len(grid.n_values) < 2 or slope <= slope_gate),
+    }
+    params = _grid_params(grid)
+    params.update({"kind": tf.kind, "alpha": tf.alpha, "center": str(tf.center)})
+    return ExperimentReport("linear_statistics", params, records, summary)
+
+
+def _ssv_setup(setting):
+    """The dyadic scan n^{-0.9} * 2^k <= 1."""
+    etas = []
+    eta = float(setting.n) ** (-0.9)
+    while eta <= 1.0:
+        etas.append(eta)
+        eta *= 2.0
+    return etas
+
+
+def _ssv_observe(ctx, etas):
+    ratios = [small_singular_count(ctx.dec, e) / (ctx.n * e) for e in etas]
+    worst = max(ratios)
+    return [ExperimentRecord(
+        experiment="small_singular_scan", n=ctx.n, trial=ctx.trial, zeta=ctx.zeta,
+        eta=etas[0], observed=worst, envelope=20.0, passed=worst <= 20.0,
+        extras={"sigma_min": smallest_singular_value(ctx.dec),
+                "ratios": [float(r) for r in ratios],
+                "etas": [float(e) for e in etas]})]
+
+
+def _ssv_summary(records, grid, _state):
+    summary = {
+        "max_ratio": max(r.observed for r in records),
+        "min_sigma_min": min(r.extras["sigma_min"] for r in records),
+        "passed": all(r.passed for r in records),
+    }
+    return ExperimentReport("small_singular_scan", _grid_params(grid), records, summary)
+
+
+def _error_matrix_setup(setting):
+    # the probes and test matrices are seeded, so every trial at one n shares them
+    n2 = 2 * setting.n
+    return (SelfEnergyData.from_spec(setting.spec), default_probes(n2, k=8),
+            default_test_matrices(n2))
+
+
+def _error_matrix_observe(ctx, state):
+    se, probes, tests = state
+    n, eta, dec = ctx.n, ctx.eta, ctx.dec
+    iso, avg = error_matrix_norms(ctx.x, dec, eta, se, probes=probes, test_matrices=tests)
+    im_g = float(np.imag(resolvent_trace(dec, eta)))
+    scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)
+    scale_iso = n ** EPSILON_EXPONENT * np.sqrt(im_g / (n * eta))
+    ok = (avg <= MEDIAN_CONSTANT * scale_avg) and (iso <= MEDIAN_CONSTANT * scale_iso)
+    return [ExperimentRecord(
+        experiment="error_matrix", n=n, trial=ctx.trial, zeta=ctx.zeta, eta=eta,
+        observed=float(avg), envelope=float(scale_avg), passed=bool(ok),
+        extras={"iso": float(iso), "iso_envelope": float(scale_iso), "im_g": im_g})]
+
+
+def _error_matrix_summary(records, grid, _state):
+    frac = float(np.mean([r.passed for r in records]))
+    summary = {
+        "record_pass_fraction": frac,
+        "passed": frac >= 0.95,
+    }
+    return ExperimentReport("error_matrix", _grid_params(grid), records, summary)
+
+
+EXPERIMENTS = {
+    "local-law": Experiment(frozenset({"svdvals"}), lambda setting: setting.dyson[0],
+                            _local_law_observe, _local_law_summary),
+    "iso-law": Experiment(frozenset(), _iso_law_setup, _iso_law_observe, _iso_law_summary),
+    "ssv-scan": Experiment(frozenset({"svdvals"}), _ssv_setup, _ssv_observe, _ssv_summary),
+    "deloc": Experiment(frozenset({"eig"}), _deloc_setup, _deloc_observe, _deloc_summary,
+                        single_n=True),
+    "linstats": Experiment(frozenset({"eigvals"}), _linstats_setup, _linstats_observe,
+                           _linstats_summary),
+    "error-matrix": Experiment(frozenset({"svd"}), _error_matrix_setup,
+                               _error_matrix_observe, _error_matrix_summary),
+    # one DensityMap of trial 0, which is its own summary
+    "density": Experiment(frozenset({"eigvals"}), lambda setting: setting.spec,
+                          lambda ctx, spec: [_density_from_eigenvalues(ctx.eigenvalues, spec)],
+                          lambda maps, grid, spec: maps[0],
+                          single_n=True, first_trial_only=True),
+}
+
+
+def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> dict:
+    """Run registry experiments on shared trial contexts in one pool.
+
+    `requests` maps `EXPERIMENTS` names to the options of each one's
+    setup.  Every setup runs before any trial, so a bad option raises
+    before anything is sampled.  Each (n, trial) task then samples X once,
+    factors it once for the union of the needs of the experiments observing
+    that trial, and passes the context to each of them.  Returns each
+    experiment's result (a report; a DensityMap for "density") by name.
+    """
+    chosen = {name: EXPERIMENTS[name] for name in requests}
+    single = [name for name, exp in chosen.items() if exp.single_n]
+    if single and len(grid.n_values) > 1:
+        raise ValueError(f"{', '.join(single)}: takes one n value, got "
+                         f"{len(grid.n_values)} in grid.n_values")
+    settings = [_Setting(grid, n) for n in grid.n_values]
+    states = {(name, s.n): exp.setup(s, **requests[name])
+              for name, exp in chosen.items() for s in settings}
+
+    def observers(trial):
+        return [name for name, exp in chosen.items()
+                if trial == 0 or not exp.first_trial_only]
+
+    def run(key):
+        n, trial = key
+        names = observers(trial)
+        needs = frozenset().union(*(chosen[name].needs for name in names))
+        ctx = TrialContext.build(grid, n, trial, needs)
+        return [(name, rec) for name in names
+                for rec in chosen[name].observe(ctx, states[name, n])]
+
+    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials) if observers(t)]
+    observed = [pair for batch in _run_tasks(run, tasks, threads) for pair in batch]
+    return {name: exp.summarize([rec for key, rec in observed if key == name], grid,
+                                states[name, grid.n_values[0]])
+            for name, exp in chosen.items()}
+
+
+def averaged_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
+    """|<G> - i v| against n^eps/(n eta) across the (n, trial) grid."""
+    return run_experiments(grid, {"local-law": {}}, threads)["local-law"]
+
+
+def isotropic_local_law(grid: ExperimentGrid, n_pairs: int = 20,
+                        threads: int = 1) -> ExperimentReport:
+    """max over probe pairs of |<x, (G - M) y>| against n^eps/sqrt(n eta)."""
+    return run_experiments(grid, {"iso-law": {"n_pairs": n_pairs}}, threads)["iso-law"]
+
+
+def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
+                        trials: int = 10, threads: int = 1) -> ExperimentReport:
+    """sqrt(n) * max bulk eigenvector overlap per probe, against 10 sqrt(log n)."""
+    # deloc reads neither zeta nor eta; zeta = 0 lies in every bulk region
+    grid = ExperimentGrid(n_values=(spec.n,), zeta=0j, eta_rule=EtaRule(0.5),
+                          trials=trials, delta=delta, seed=spec.seed, rho=spec.rho,
+                          mu=spec.mu, base=spec.base)
+    return run_experiments(grid, {"deloc": {"delta": delta, "w_probes": w_probes}},
+                           threads)["deloc"]
 
 
 def density_integral(tf: TestFunction, rho: float, n: int,
@@ -414,49 +667,17 @@ def density_integral(tf: TestFunction, rho: float, n: int,
 def linear_statistics(grid: ExperimentGrid, tf: TestFunction,
                       threads: int = 1) -> ExperimentReport:
     """Mesoscopic linear eigenvalue statistics against n^{-1+2a+eps} ||Delta f||_1."""
-    region = EllipseRegion(grid.rho, grid.delta)
-    for n in grid.n_values:
-        tf.validate(n)
-        rim = tf.center + tf.support_radius(n) * np.exp(
-            1j * np.linspace(0, 2 * np.pi, 181))
-        if not np.all(region.contains(rim)):
-            raise ValueError("test function support leaves the bulk region")
+    return run_experiments(grid, {"linstats": {"tf": tf}}, threads)["linstats"]
 
-    l1 = tf.norm_delta_l1
-    integrals = {n: density_integral(tf, grid.rho, n) for n in grid.n_values}
-    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
 
-    def run(key):
-        n, trial = key
-        x = sample(grid.ensemble_spec(n), trial)
-        eigs = np.linalg.eigvals(x.entries)
-        observed = abs(float(np.mean(np.real(tf.observable(eigs, n))))
-                       - integrals[n])
-        envelope = float(n) ** (-1.0 + 2.0 * tf.alpha + EPSILON_EXPONENT) * l1
-        return ExperimentRecord(
-            experiment="linear_statistics", n=n, trial=trial, zeta=tf.center,
-            eta=0.0, observed=observed, envelope=envelope,
-            passed=observed <= MEDIAN_CONSTANT * envelope,
-            extras={"integral": integrals[n], "alpha": tf.alpha, "l1_delta": l1})
+def small_singular_scan(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
+    """Dyadic eta scan of #\\{|lambda_i| <= eta\\}/(n eta), plus sigma_min records."""
+    return run_experiments(grid, {"ssv-scan": {}}, threads)["ssv-scan"]
 
-    records = sorted(_run_tasks(run, tasks, threads), key=ExperimentRecord.sort_key)
-    medians = _median_by_n(records, grid.n_values)
-    slope = (_loglog_slope(list(grid.n_values), [medians[n] for n in grid.n_values])
-             if len(grid.n_values) > 1 else float("nan"))
-    slope_gate = (-1.0 + 2.0 * tf.alpha) + 0.2
-    env_gate = all(
-        medians[n] <= MEDIAN_CONSTANT * float(n) ** (-1.0 + 2.0 * tf.alpha) * l1
-        for n in grid.n_values)
-    summary = {
-        "median_by_n": {str(n): medians[n] for n in grid.n_values},
-        "slope_vs_n": slope,
-        "slope_gate": slope_gate,
-        "envelope_gate": env_gate,
-        "passed": env_gate and (len(grid.n_values) < 2 or slope <= slope_gate),
-    }
-    params = _grid_params(grid)
-    params.update({"kind": tf.kind, "alpha": tf.alpha, "center": str(tf.center)})
-    return ExperimentReport("linear_statistics", params, records, summary)
+
+def error_matrix_experiment(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
+    """Isotropic/averaged error-matrix norms against their predicted scalings."""
+    return run_experiments(grid, {"error-matrix": {}}, threads)["error-matrix"]
 
 
 # complex entries of the Hyman working array (1 MB): nodes go through the
@@ -523,8 +744,9 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
     """
     a = x.entries if isinstance(x, EllipticMatrix) else np.asarray(x, dtype=complex)
     n = a.shape[0]
-    if n > 256:
-        raise ValueError("girko_consistency is a dense-quadrature check; need n <= 256")
+    if n > GIRKO_MAX_N:
+        raise ValueError(
+            f"girko_consistency is a dense-quadrature check; need n <= {GIRKO_MAX_N}")
     eigs = np.linalg.eigvals(a)
     lhs = float(np.mean(np.real(tf.f(eigs))))
 
@@ -591,37 +813,6 @@ def monte_carlo_estimate(f, region: EllipseRegion, m: int, delta: float,
     return est, bound
 
 
-def small_singular_scan(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
-    """Dyadic eta scan of #\\{|lambda_i| <= eta\\}/(n eta), plus sigma_min records."""
-    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
-
-    def run(key):
-        n, trial = key
-        x = sample(grid.ensemble_spec(n), trial)
-        s = np.linalg.svd(x.entries - grid.zeta * np.eye(n), compute_uv=False)
-        etas = []
-        eta = float(n) ** (-0.9)
-        while eta <= 1.0:
-            etas.append(eta)
-            eta *= 2.0
-        ratios = [2.0 * float(np.count_nonzero(s <= e)) / (n * e) for e in etas]
-        worst = max(ratios)
-        return ExperimentRecord(
-            experiment="small_singular_scan", n=n, trial=trial, zeta=grid.zeta,
-            eta=etas[0], observed=worst, envelope=20.0, passed=worst <= 20.0,
-            extras={"sigma_min": float(s[-1]),
-                    "ratios": [float(r) for r in ratios],
-                    "etas": [float(e) for e in etas]})
-
-    records = sorted(_run_tasks(run, tasks, threads), key=ExperimentRecord.sort_key)
-    summary = {
-        "max_ratio": max(r.observed for r in records),
-        "min_sigma_min": min(r.extras["sigma_min"] for r in records),
-        "passed": all(r.passed for r in records),
-    }
-    return ExperimentReport("small_singular_scan", _grid_params(grid), records, summary)
-
-
 @dataclass
 class DensityMap:
     """2-D eigenvalue histogram next to the limiting density on one grid."""
@@ -642,11 +833,8 @@ class DensityMap:
                              f"{float(self.sigma[i, j])!r}\n")
 
 
-def density_map(spec: EnsembleSpec, grid_resolution: int = 101,
-                trial: int = 0, margin: float = 0.3) -> DensityMap:
-    """Eigenvalue histogram of one sample against the ellipse density."""
-    x = sample(spec, trial)
-    eigs = np.linalg.eigvals(x.entries)
+def _density_from_eigenvalues(eigs, spec: EnsembleSpec, grid_resolution: int = 101,
+                              margin: float = 0.3) -> DensityMap:
     region = EllipseRegion(spec.rho)
     ax, ay = region.semi_axes
     xs = np.linspace(-ax - margin, ax + margin, grid_resolution + 1)
@@ -662,6 +850,13 @@ def density_map(spec: EnsembleSpec, grid_resolution: int = 101,
     mass_inside = float(np.mean(region.contains(eigs)))
     return DensityMap(x_centers=xc, y_centers=yc, histogram=hist, sigma=sigma,
                       mass_inside=mass_inside, n=spec.n)
+
+
+def density_map(spec: EnsembleSpec, grid_resolution: int = 101,
+                trial: int = 0, margin: float = 0.3) -> DensityMap:
+    """Eigenvalue histogram of one sample against the ellipse density."""
+    eigs = np.linalg.eigvals(sample(spec, trial).entries)
+    return _density_from_eigenvalues(eigs, spec, grid_resolution, margin)
 
 
 def dump_eigenvalues(path, dec_list) -> None:
@@ -691,39 +886,3 @@ def dump_functionals(path, rows) -> None:
                 "log_det": func.log_det,
             }
             fh.write(json.dumps(rec) + "\n")
-
-
-def error_matrix_experiment(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
-    """Isotropic/averaged error-matrix norms against their predicted scalings."""
-    tasks = [(n, t) for n in grid.n_values for t in range(grid.trials)]
-    # the probes and test matrices are seeded, so every trial at one n shares them
-    probes_by_n = {n: default_probes(2 * n, k=8) for n in grid.n_values}
-    tests_by_n = {n: default_test_matrices(2 * n) for n in grid.n_values}
-
-    def run(key):
-        n, trial = key
-        eta = grid.eta_rule.eta(n)
-        spec = grid.ensemble_spec(n)
-        x = sample(spec, trial)
-        dec = decompose(hermitize(x, grid.zeta))
-        se = SelfEnergyData.from_spec(spec)
-        iso, avg = error_matrix_norms(x, dec, eta, se, probes=probes_by_n[n],
-                                      test_matrices=tests_by_n[n])
-        im_g = float(np.imag(1j * eta * np.mean(
-            1.0 / (dec.singular_values ** 2 + eta ** 2))))
-        scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)
-        scale_iso = n ** EPSILON_EXPONENT * np.sqrt(im_g / (n * eta))
-        ok = (avg <= MEDIAN_CONSTANT * scale_avg) and (iso <= MEDIAN_CONSTANT * scale_iso)
-        return ExperimentRecord(
-            experiment="error_matrix", n=n, trial=trial, zeta=grid.zeta, eta=eta,
-            observed=float(avg), envelope=float(scale_avg), passed=bool(ok),
-            extras={"iso": float(iso), "iso_envelope": float(scale_iso),
-                    "im_g": im_g})
-
-    records = sorted(_run_tasks(run, tasks, threads), key=ExperimentRecord.sort_key)
-    frac = float(np.mean([r.passed for r in records]))
-    summary = {
-        "record_pass_fraction": frac,
-        "passed": frac >= 0.95,
-    }
-    return ExperimentReport("error_matrix", _grid_params(grid), records, summary)

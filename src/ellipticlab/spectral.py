@@ -326,17 +326,19 @@ def _spectral_norm_estimate(b: np.ndarray, iters: int = 40, seed: int = 3) -> fl
     return float(est)
 
 
+# 2x2 block test matrices: the identity, E- = diag(1, -1) and the Pauli sx, sy
+BLOCK_TESTS = {
+    "I": np.eye(2, dtype=complex),
+    "E-": np.diag([1.0, -1.0]).astype(complex),
+    "sx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "sy": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+}
+
+
 def default_test_matrices(n2: int, seed: int = 1, k: int = 4):
     """Unit-operator-norm test matrices for the averaged error norm."""
-    n = n2 // 2
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    mats = [
-        ("I", np.block([[eye, zero], [zero, eye]])),
-        ("E-", np.block([[eye, zero], [zero, -eye]])),
-        ("sx", np.block([[zero, eye], [eye, zero]])),
-        ("sy", np.block([[zero, -1j * eye], [1j * eye, zero]])),
-    ]
+    eye = np.eye(n2 // 2)
+    mats = [(label, np.kron(c, eye)) for label, c in BLOCK_TESTS.items()]
     rng = np.random.default_rng(seed)
     for j in range(k):
         g = (rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2)))

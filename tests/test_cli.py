@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, EnsembleSpec
+from ellipticlab import EtaRule, ExperimentGrid, harness
+from ellipticlab import TestFunction as Bump
 from ellipticlab.cli import build_parser, main, parse_complex
 
 
@@ -34,11 +36,26 @@ class TestParsing:
         assert capsys.readouterr().out == spaced
 
     @pytest.mark.parametrize("command", ["deloc", "girko-check"])
-    def test_single_n_commands_reject_several(self, command, tmp_path, capsys):
-        rc = main([command, "--n", "8", "12", "--trials", "1",
-                   "--out-dir", str(tmp_path)])
+    def test_single_n_commands_reject_several(self, command, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # girko-check takes no --trials and no --out-dir: it checks one sample
+        # and only prints
+        extra = ["--trials", "1", "--out-dir", "out"] if command == "deloc" else []
+        rc = main([command, "--n", "8", "12", *extra])
         assert rc == 2
         assert "one --n value" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--trials", "5"], ["--beta", "0.9"],
+                                      ["--delta", "0.4"], ["--format", "csv"],
+                                      ["--out-dir", "out"]],
+                             ids=["trials", "beta", "delta", "format", "out-dir"])
+    def test_girko_check_rejects_unread_flags(self, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["girko-check", "--n", "8", *flag])
+        assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
     def test_threads_default_is_usable_cpus(self, monkeypatch):
@@ -54,9 +71,10 @@ class TestParsing:
         ["girko-check", "--n", "8"],
     ])
     def test_threads_rejected_where_unused(self, argv, tmp_path):
-        # only the trial pools read --threads
+        # only the trial pools read --threads; girko-check takes no --out-dir either
+        out_dir = [] if argv[0] == "girko-check" else ["--out-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--threads", "7", "--out-dir", str(tmp_path)])
+            main(argv + ["--threads", "7", *out_dir])
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
@@ -171,8 +189,7 @@ class TestExperiments:
         assert out["violation_frequency"] <= 0.1
 
     def test_girko_check(self, tmp_path, capsys):
-        rc = main(["girko-check", "--n", "12", "--zeta", "0", "--out-dir",
-                   str(tmp_path)])
+        rc = main(["girko-check", "--n", "12", "--zeta", "0"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["discrepancy"] <= 1e-3
@@ -267,6 +284,20 @@ class TestExperimentConfig:
         assert experiment in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"girko_n": 512}, "girko_n"),
+        ({"experiments": ["local-law", "frobnicate"]}, "frobnicate"),
+    ], ids=["girko_n", "unknown"])
+    def test_config_checked_before_anything_runs(self, extra, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._mini_config(tmp_path / "bad.json", output_dir=str(out),
+                                **{"experiments": ["local-law", "girko-check"], **extra})
+        assert main(["experiment", cfg]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bundled_smoke_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         start = time.time()
@@ -277,3 +308,96 @@ class TestExperimentConfig:
         out = tmp_path / "smoke_out"
         assert (out / "averaged_local_law.summary.json").exists()
         assert (out / "density_map.csv").exists()
+
+
+POOLED = ["local-law", "iso-law", "ssv-scan", "deloc", "linstats", "error-matrix"]
+
+
+def _pooled_config(tmp_path, n, trials=3, experiments=POOLED):
+    out = tmp_path / f"out{n}"
+    cfg = tmp_path / f"pooled{n}.json"
+    cfg.write_text(json.dumps({
+        "schema": 1,
+        "ensemble": {"rho": 0.5, "seed": 3},
+        "grid": {"n_values": [n], "zeta": "0.05+0.05i", "trials": trials,
+                 "beta": 0.75, "delta": 0.1},
+        "alpha": 0.25,
+        "experiments": list(experiments),
+        "output_dir": str(out),
+    }))
+    return str(cfg), out
+
+
+class TestSharedTrialContexts:
+    """A config's sample-based experiments share each (n, trial) sample and its factorizations."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"sample": [], "eig": [], "eigvals": [], "svd": []}
+
+        def counted(name, fn, key=lambda *a, **k: None):
+            def wrapper(*args, **kwargs):
+                seen[name].append(key(*args, **kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "sample", counted(
+            "sample", harness.sample, lambda spec, trial=0: (spec.n, trial)))
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "svd", counted(
+            "svd", np.linalg.svd, lambda a, full_matrices=True, compute_uv=True, **_: compute_uv))
+        return seen
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_one_sample_and_one_factorization_per_trial(self, n, calls, tmp_path):
+        cfg, out = _pooled_config(tmp_path, n)
+        assert main(["experiment", cfg, "--threads", "2"]) == 0
+        assert sorted(calls["sample"]) == [(n, t) for t in range(3)]
+        assert len(calls["eig"]) == 3
+        assert calls["eigvals"] == []
+        # one SVD of X - zeta, with vectors, serves local-law, ssv-scan and error-matrix
+        assert calls["svd"] == [True] * 3
+        assert len(list(out.glob("*.jsonl"))) == len(POOLED)
+
+    def test_density_samples_trial_zero_only(self, calls, tmp_path):
+        cfg, out = _pooled_config(tmp_path, 64, experiments=["density"])
+        assert main(["experiment", cfg]) == 0
+        assert calls["sample"] == [(64, 0)]
+        assert len(calls["eigvals"]) == 1 and calls["eig"] == []
+        assert (out / "density_map.csv").exists()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_config_records_match_standalone_experiments(self, n, tmp_path):
+        cfg, out = _pooled_config(tmp_path, n)
+        assert main(["experiment", cfg, "--threads", "2"]) == 0
+        grid = ExperimentGrid(n_values=(n,), zeta=0.05 + 0.05j, eta_rule=EtaRule(0.75),
+                              trials=3, delta=0.1, seed=3, rho=0.5)
+        standalone = [
+            harness.averaged_local_law(grid, threads=2),
+            harness.isotropic_local_law(grid, threads=2),
+            harness.small_singular_scan(grid, threads=2),
+            harness.delocalisation_test(grid.ensemble_spec(n), delta=0.1, trials=3,
+                                        threads=2),
+            harness.linear_statistics(grid, Bump(center=grid.zeta, alpha=0.25),
+                                      threads=2),
+            harness.error_matrix_experiment(grid, threads=2),
+        ]
+        # a shared SVD with vectors, or eig in place of eigvals, rounds differently
+        tolerant = {"averaged_local_law": None, "linear_statistics": None,
+                    "small_singular_scan": {"sigma_min"}}
+        for rep in standalone:
+            got = [json.loads(line) for line in
+                   (out / f"{rep.name}.jsonl").read_text().splitlines()]
+            want = [json.loads(json.dumps(r.to_dict())) for r in rep.records]
+            if rep.name not in tolerant:
+                assert got == want, rep.name
+                continue
+            keys = tolerant[rep.name]
+            assert [sorted(g) for g in got] == [sorted(w) for w in want]
+            for g, w in zip(got, want):
+                for key, value in w.items():
+                    if type(value) is float and (keys is None or key in keys):
+                        assert g[key] == pytest.approx(value, rel=1e-12, abs=0), (rep.name, key)
+                    else:
+                        assert g[key] == value, (rep.name, key)

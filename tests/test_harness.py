@@ -82,6 +82,20 @@ class TestThreads:
         b = run(grid, 2)
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
+    def test_thread_count_does_not_change_shared_contexts(self):
+        # all six pooled experiments in one run_experiments call share each trial
+        grid = small_grid(n_values=(256,), trials=2)
+        requests = {"local-law": {}, "iso-law": {}, "ssv-scan": {},
+                    "deloc": {"delta": grid.delta},
+                    "linstats": {"tf": Bump(center=grid.zeta, alpha=0.25)},
+                    "error-matrix": {}}
+        a = harness.run_experiments(grid, requests, threads=1)
+        b = harness.run_experiments(grid, requests, threads=2)
+        assert sorted(a) == sorted(b) == sorted(requests)
+        for name in requests:
+            assert [r.to_dict() for r in a[name].records] == \
+                [r.to_dict() for r in b[name].records]
+
     @pytest.fixture
     def blas(self):
         controls = harness._bundled_openblas()
