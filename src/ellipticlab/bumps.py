@@ -12,10 +12,10 @@ together with its Laplacian and the L^1 / L^{2+a} norms of Delta f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 KINDS = ("polynomial-bump", "gaussian-bump")
 
@@ -52,6 +52,31 @@ _PROFILES = {
     "gaussian-bump": (_gauss_profile, _gauss_laplacian),
 }
 
+# radius where the profile's Laplacian changes sign, so |Delta p| has a kink:
+# 3 r^2 = 1 for the polynomial bump, r^4 + r^2 = 1 for the gaussian bump
+_KINKS = {
+    "polynomial-bump": 1.0 / np.sqrt(3.0),
+    "gaussian-bump": np.sqrt((np.sqrt(5.0) - 1.0) / 2.0),
+}
+
+# Gauss-Legendre nodes on each side of the kink.  Exact for the polynomial
+# bump at p = 1 and 3 (polynomial pieces of degree <= 13); for the gaussian
+# bump, 48 nodes already agree with 96 to 1.3e-14 at p = 1 and 3.  A
+# non-integer p leaves |r - kink|^p at the piece ends: 64 nodes are then good
+# to about 2e-11 relative at p = 2.1.
+_RADIAL_NODES = 64
+
+
+@functools.cache
+def _radial_rule(kind: str) -> tuple:
+    """Nodes r in (0, 1) and weights w with w @ g(r) ~ 2 pi int_0^1 g(r) r dr,
+    split at the kink of |Delta p|."""
+    x, w = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    k = _KINKS[kind]
+    r = np.concatenate([k * (x + 1.0) / 2.0, k + (1.0 - k) * (x + 1.0) / 2.0])
+    weights = np.concatenate([k * w, (1.0 - k) * w]) * np.pi * r
+    return r, weights
+
 
 @dataclass
 class TestFunction:
@@ -66,7 +91,6 @@ class TestFunction:
     radius: float = 1.0
     alpha: float = 0.0
     a: float = 1.0
-    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -114,25 +138,19 @@ class TestFunction:
     # mesoscopic rescaling: ||Delta f_{z0,alpha}||_1 = n^{2 alpha} ||Delta f||_1)
 
     def _profile_norm(self, p: float) -> float:
-        lap = _PROFILES[self.kind][1]
-        val, _ = quad(lambda r: np.abs(lap(r)) ** p * r, 0.0, 1.0, limit=200)
-        return (2.0 * np.pi * val) ** (1.0 / p)
+        r, w = _radial_rule(self.kind)
+        return float(w @ np.abs(_PROFILES[self.kind][1](r)) ** p) ** (1.0 / p)
 
     @property
     def norm_delta_l1(self) -> float:
         """||Delta f||_{L^1}; scale-invariant in the support radius."""
-        if "l1" not in self._norm_cache:
-            self._norm_cache["l1"] = self._profile_norm(1.0)
-        return self._norm_cache["l1"]
+        return self._profile_norm(1.0)
 
     @property
     def norm_delta_l2a(self) -> float:
         """||Delta f||_{L^{2+a}} of the base f."""
-        if "l2a" not in self._norm_cache:
-            p = 2.0 + self.a
-            prof_norm = self._profile_norm(p)
-            self._norm_cache["l2a"] = prof_norm * self.radius ** (2.0 / p - 2.0)
-        return self._norm_cache["l2a"]
+        p = 2.0 + self.a
+        return self._profile_norm(p) * self.radius ** (2.0 / p - 2.0)
 
     def validate(self, n: int, d_exponent: int = 1) -> None:
         """Reject functions violating the norm comparison constraint."""

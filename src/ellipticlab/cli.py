@@ -387,22 +387,33 @@ def _add_threads(p) -> None:
                         "may use)")
 
 
-def _add_common(p) -> None:
+def _add_output(p, report: bool = True) -> None:
+    """--out-dir, and with `report` the --format of the reports written there."""
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: a config's output_dir, "
                         "then $ELLIPTICLAB_OUT, then '.')")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    if report:
+        p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+
+
+def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _add_sample(p, grid: bool = True) -> None:
-    """The ensemble and spectral point of a sampled experiment; `grid` adds its scan."""
+# the spectral point and scan flags of the sampled experiments
+_SCAN_FLAGS = {
+    "zeta": dict(type=parse_complex, default=parse_complex("0.3+0.2i")),
+    "beta": dict(type=float, default=0.75),
+    "trials": dict(type=int, default=3),
+    "delta": dict(type=float, default=0.1),
+}
+
+
+def _add_sample(p, *scan: str) -> None:
+    """The ensemble of a sampled experiment, plus the `scan` flags it reads."""
     p.add_argument("--n", type=int, nargs="+", default=[256])
-    p.add_argument("--zeta", type=parse_complex, default=parse_complex("0.3+0.2i"))
-    if grid:
-        p.add_argument("--beta", type=float, default=0.75)
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--delta", type=float, default=0.1)
+    for flag in scan:
+        p.add_argument(f"--{flag}", **_SCAN_FLAGS[flag])
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_output(p, report=False)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sample", help="sample a matrix, dump it, self-test moments")
@@ -450,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_output(p, report=False)
+    _add_seed(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("spectrum", help="eigenvalue and functional dumps")
@@ -463,13 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--prefix", default="spectrum")
-    _add_common(p)
+    _add_output(p, report=False)
+    _add_seed(p)
     p.set_defaults(func=cmd_spectrum)
 
     for name in ("local-law", "iso-law", "ssv-scan", "deloc", "linstats"):
         p = sub.add_parser(name, help=f"{name} experiment")
-        _add_common(p)
-        _add_sample(p)
+        _add_output(p)
+        _add_seed(p)
+        # deloc reads the eigenvectors of X itself: no spectral point, no eta
+        scan = ("trials", "delta") if name == "deloc" else ("zeta", "beta", "trials", "delta")
+        _add_sample(p, *scan)
         _add_threads(p)
         if name == "linstats":
             p.add_argument("--alpha", type=float, default=0.25)
@@ -479,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # girko-check prints its result and writes nothing
     p = sub.add_parser("girko-check", help="Girko identity on one sample, n <= 256")
-    p.add_argument("--seed", type=int, default=1)
-    _add_sample(p, grid=False)
+    _add_seed(p)
+    _add_sample(p, "zeta")
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                    default="polynomial-bump")
@@ -488,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", type=float, default=1e-3)
     p.set_defaults(func=cmd_girko)
 
+    # mc-check prints its result and writes nothing
     p = sub.add_parser("mc-check", help="Monte Carlo deviation-bound coverage")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--m", type=int, default=100)
@@ -499,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run experiments from a JSON config")
     p.add_argument("config")
-    _add_common(p)
-    _add_threads(p)
+    _add_output(p)
     # without --seed the config's seed applies
-    p.set_defaults(func=cmd_experiment, seed=None)
+    p.add_argument("--seed", type=int, default=None)
+    _add_threads(p)
+    p.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import hessenberg
 
 from .bumps import TestFunction
 from .dyson import EllipseRegion, solve_dyson_grid
@@ -692,6 +691,9 @@ def _hessenberg_blocks(a) -> list:
     block upper triangular wherever a subdiagonal entry is exactly zero:
     the determinant is the product of those of its diagonal blocks.
     """
+    # imported here: the Girko check is the only user of scipy.linalg
+    from scipy.linalg import hessenberg
+
     h = hessenberg(a)
     cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), h.shape[0]]
     return [h[lo:hi, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]

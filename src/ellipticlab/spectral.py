@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ensemble import EllipticMatrix, EnsembleSpec
 
@@ -174,6 +173,9 @@ def log_det_check(dec: SpectralDecomposition, t_cut: float,
     The left side is the exact eigenvalue sum; the right side integrates the
     spectral form of <Im G> numerically, so agreement is quadrature-limited.
     """
+    # imported here: loading scipy.integrate costs more than importing this package
+    from scipy.integrate import quad
+
     if t_cut < 1.0:
         raise ValueError("T must be >= 1")
     s = dec.singular_values

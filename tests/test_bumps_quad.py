@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ellipticlab import TestFunction as Bump
 from ellipticlab.quad2d import QuadratureError, adaptive_quad2d
@@ -34,7 +35,30 @@ class TestBumps:
     def test_poly_delta_l1_closed_form(self):
         # 2 pi * 12 * int_0^1 (1-r^2)|3r^2-1| r dr = 32 pi / 9
         tf = Bump(kind="polynomial-bump")
-        assert tf.norm_delta_l1 == pytest.approx(32 * np.pi / 9, rel=1e-9)
+        assert tf.norm_delta_l1 == pytest.approx(32 * np.pi / 9, rel=1e-13)
+
+    @pytest.mark.parametrize("kind, kink", [("polynomial-bump", 1 / np.sqrt(3)),
+                                            ("gaussian-bump", np.sqrt((np.sqrt(5) - 1) / 2))])
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_norms_match_adaptive_quadrature(self, kind, kink, a):
+        # the oracle is scipy's adaptive quadrature told where Delta p changes sign
+        tf = Bump(kind=kind, radius=0.7, a=a)
+        assert tf.laplacian(kink * tf.radius) == pytest.approx(0.0, abs=1e-12)
+
+        def norm(p):
+            val, _ = quad(lambda r: np.abs(tf.laplacian(r)) ** p * r, 0.0, tf.radius,
+                          points=[kink * tf.radius], limit=400, epsabs=0.0, epsrel=1e-13)
+            return (2 * np.pi * val) ** (1 / p)
+
+        assert tf.norm_delta_l1 == pytest.approx(norm(1.0), rel=1e-12)
+        assert tf.norm_delta_l2a == pytest.approx(norm(2.0 + a), rel=1e-12 if a == 1.0 else 1e-10)
+
+    def test_equality_survives_reading_a_norm(self):
+        a, b = Bump(alpha=0.25), Bump(alpha=0.25)
+        assert a.norm_delta_l1 > 0 and a.norm_delta_l2a > 0
+        assert a == b
+        with pytest.raises(TypeError):
+            Bump(_norm_cache={})
 
     def test_l1_scale_invariance(self):
         a = Bump(radius=1.0).norm_delta_l1

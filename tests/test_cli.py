@@ -58,6 +58,25 @@ class TestParsing:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["deloc", "--n", "8", "--trials", "1"], ["--zeta", "5"]),
+        (["deloc", "--n", "8", "--trials", "1"], ["--beta", "0.9"]),
+        (["mc-check", "--reps", "10"], ["--out-dir", "out"]),
+        (["mc-check", "--reps", "10"], ["--format", "csv"]),
+        (["density", "--rho", "0.5", "--resolution", "3"], ["--format", "csv"]),
+        (["density", "--rho", "0.5", "--resolution", "3"], ["--seed", "2"]),
+        (["sample", "--n", "8", "--rho", "0.5"], ["--format", "csv"]),
+        (["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1"],
+         ["--format", "csv"]),
+    ], ids=["deloc-zeta", "deloc-beta", "mc-check-out-dir", "mc-check-format",
+            "density-format", "density-seed", "sample-format", "spectrum-format"])
+    def test_unread_flags_rejected(self, argv, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -71,8 +90,9 @@ class TestParsing:
         ["girko-check", "--n", "8"],
     ])
     def test_threads_rejected_where_unused(self, argv, tmp_path):
-        # only the trial pools read --threads; girko-check takes no --out-dir either
-        out_dir = [] if argv[0] == "girko-check" else ["--out-dir", str(tmp_path)]
+        # only the trial pools read --threads; girko-check and mc-check take no
+        # --out-dir either
+        out_dir = [] if argv[0] in ("girko-check", "mc-check") else ["--out-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--threads", "7", *out_dir])
         assert exc.value.code == 2
@@ -182,11 +202,13 @@ class TestExperiments:
         assert rc == 0
         assert (tmp_path / "small_singular_scan.csv").exists()
 
-    def test_mc_check(self, tmp_path, capsys):
-        rc = main(["mc-check", "--reps", "100", "--out-dir", str(tmp_path)])
+    def test_mc_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["mc-check", "--reps", "100"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["violation_frequency"] <= 0.1
+        assert not any(tmp_path.iterdir())
 
     def test_girko_check(self, tmp_path, capsys):
         rc = main(["girko-check", "--n", "12", "--zeta", "0"])
