@@ -335,12 +335,12 @@ class TestExperimentConfig:
 POOLED = ["local-law", "iso-law", "ssv-scan", "deloc", "linstats", "error-matrix"]
 
 
-def _pooled_config(tmp_path, n, trials=3, experiments=POOLED):
+def _pooled_config(tmp_path, n, trials=3, experiments=POOLED, mu=1.0):
     out = tmp_path / f"out{n}"
     cfg = tmp_path / f"pooled{n}.json"
     cfg.write_text(json.dumps({
         "schema": 1,
-        "ensemble": {"rho": 0.5, "seed": 3},
+        "ensemble": {"rho": 0.5, "mu": mu, "seed": 3},
         "grid": {"n_values": [n], "zeta": "0.05+0.05i", "trials": trials,
                  "beta": 0.75, "delta": 0.1},
         "alpha": 0.25,
@@ -365,8 +365,10 @@ class TestSharedTrialContexts:
 
         monkeypatch.setattr(harness, "sample", counted(
             "sample", harness.sample, lambda spec, trial=0: (spec.n, trial)))
-        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        # eig and eigvals record the dtype of the matrix they factor
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig, lambda a: a.dtype))
+        monkeypatch.setattr(np.linalg, "eigvals", counted(
+            "eigvals", np.linalg.eigvals, lambda a: a.dtype))
         monkeypatch.setattr(np.linalg, "svd", counted(
             "svd", np.linalg.svd, lambda a, full_matrices=True, compute_uv=True, **_: compute_uv))
         return seen
@@ -388,6 +390,14 @@ class TestSharedTrialContexts:
         assert calls["sample"] == [(64, 0)]
         assert len(calls["eigvals"]) == 1 and calls["eig"] == []
         assert (out / "density_map.csv").exists()
+
+    @pytest.mark.parametrize("mu, dtype", [(1.0, np.float64), (0.5, np.complex128)])
+    def test_real_samples_use_the_real_eigensolver(self, mu, dtype, calls, tmp_path):
+        for experiments in (["deloc"], ["linstats", "density"]):
+            cfg, _ = _pooled_config(tmp_path, 64, trials=2, experiments=experiments, mu=mu)
+            assert main(["experiment", cfg]) == 0
+        assert calls["eig"] == [dtype] * 2
+        assert calls["eigvals"] == [dtype] * 2
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_config_records_match_standalone_experiments(self, n, tmp_path):

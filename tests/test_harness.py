@@ -204,6 +204,86 @@ class TestDelocalisation:
         assert delocalisation_test(spec, trials=2).passed
 
 
+class TestRealEigensolver:
+    """A real X goes through LAPACK's real driver; a complex one is left as it was."""
+
+    @staticmethod
+    def match(vals, ref):
+        """Indices into ref of the eigenvalues nearest to vals, checked one-to-one."""
+        dist = np.abs(vals[:, None] - ref[None, :])
+        idx = np.argmin(dist, axis=1)
+        assert sorted(idx) == list(range(ref.size))
+        return idx, float(dist[np.arange(vals.size), idx].max())
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_real_driver_matches_complex_driver(self, n, monkeypatch):
+        x = sample(EnsembleSpec(n=n, rho=0.5, seed=21)).entries
+        ref_vals, ref_vecs = np.linalg.eig(x)      # complex driver: x is complex128
+        ref_eigvals = np.linalg.eigvals(x)
+        seen = []
+
+        def recording(fn):
+            def wrapper(a):
+                seen.append(a.dtype)
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", recording(np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
+        vals, vecs = harness._eig(x)
+        eigvals = harness._eig(x, vectors=False)
+        assert seen == [np.float64, np.float64]
+        # complex128 outputs, also at n = 1 where numpy returns float arrays
+        assert vals.dtype == vecs.dtype == eigvals.dtype == np.complex128
+        assert vecs.flags.c_contiguous
+        idx, gap = self.match(vals, ref_vals)
+        assert gap <= 1e-12
+        assert self.match(eigvals, ref_eigvals)[1] <= 1e-12
+        # unit eigenvectors agree up to a phase per column
+        assert np.abs(np.abs(vecs) - np.abs(ref_vecs[:, idx])).max() <= 1e-10
+
+    def test_complex_sample_keeps_complex_driver(self, monkeypatch):
+        grid = ExperimentGrid(n_values=(128,), zeta=0.0, eta_rule=EtaRule(0.75), trials=2,
+                              delta=0.1, seed=22, rho=0.5, mu=0.5)
+        x = sample(grid.ensemble_spec(128)).entries
+        vals, vecs = harness._eig(x)
+        ref_vals, ref_vecs = np.linalg.eig(x)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(harness._eig(x, vectors=False), np.linalg.eigvals(x))
+
+        def run():
+            return harness.run_experiments(
+                grid, {"deloc": {"delta": 0.1}, "linstats": {"tf": Bump(center=0.0, alpha=0.25)}})
+
+        got = run()
+        # the eigensolver calls as they were before the real path existed
+        monkeypatch.setattr(harness, "_eig", lambda a, vectors=True:
+                            np.linalg.eig(a) if vectors else np.linalg.eigvals(a))
+        want = run()
+        for name in got:
+            assert ([r.to_dict() for r in got[name].records]
+                    == [r.to_dict() for r in want[name].records]), name
+
+    def test_real_deloc_matches_complex_arithmetic(self, monkeypatch):
+        spec = EnsembleSpec(n=128, rho=0.5, seed=23)
+        got = delocalisation_test(spec, delta=0.1, trials=2)
+        # no matrix counts as real: eig and X vecs in complex arithmetic
+        monkeypatch.setattr(harness, "_real_if_real", lambda a: a)
+        want = delocalisation_test(spec, delta=0.1, trials=2)
+        for g, w in zip(got.records, want.records):
+            assert g.extras == w.extras
+            assert g.observed == pytest.approx(w.observed, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mu", [1.0, 0.5])
+    def test_density_map_equals_config_density(self, mu):
+        grid = ExperimentGrid(n_values=(64,), zeta=0.0, eta_rule=EtaRule(0.75), trials=2,
+                              delta=0.1, seed=24, rho=0.5, mu=mu)
+        pooled = harness.run_experiments(grid, {"density": {}})["density"]
+        alone = density_map(grid.ensemble_spec(64))
+        assert np.array_equal(pooled.histogram, alone.histogram)
+        assert pooled.mass_inside == alone.mass_inside
+
+
 class TestLinearStatistics:
     def test_small_run_and_slope(self):
         grid = ExperimentGrid(n_values=(64, 128, 256), zeta=0.0 + 0.0j,

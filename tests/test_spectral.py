@@ -19,9 +19,12 @@ from ellipticlab import (
     smallest_singular_value,
     solve_dyson_grid,
 )
+from ellipticlab import spectral
 from ellipticlab.spectral import (
+    BLOCK_TESTS,
     SingularHermitizationError,
     default_probes,
+    default_test_matrices,
     error_matrix,
     resolvent_functionals,
     self_energy_hat,
@@ -315,3 +318,62 @@ class TestErrorMatrix:
         for _, p in probes:
             assert p.shape == (32,)
             assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+
+
+def _power_estimate(b, iters=40, seed=3):
+    """The 2-norm estimate the random test matrices were scaled by, with an explicit B^H."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+    x /= np.linalg.norm(x)
+    bh = b.conj().T
+    est = 0.0
+    for _ in range(iters):
+        x = bh @ (b @ x)
+        nrm = np.linalg.norm(x)
+        est = np.sqrt(nrm)
+        x /= nrm
+    return float(est)
+
+
+class TestAveragedErrorNorm:
+    """The averaged norm from block traces and dot products, against dense test matrices."""
+
+    @pytest.mark.parametrize("n2", [2, 64, 512])
+    def test_default_test_matrices_are_the_seeded_random_ones(self, n2):
+        rng = np.random.default_rng(1)
+        want = []
+        for _ in range(4):
+            g = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+            g /= _power_estimate(g) * (1.0 + 1e-9)
+            want.append(g)
+        got = default_test_matrices(n2)
+        assert [label for label, _ in got] == ["rand0", "rand1", "rand2", "rand3"]
+        for (_, b), w in zip(got, want):
+            assert np.array_equal(b, w)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_matches_dense_kronecker_oracle(self, n, monkeypatch):
+        spec = EnsembleSpec(n=n, rho=0.5, mu=0.7, seed=13)
+        x = sample(spec)
+        eta = n ** -0.5
+        dec = decompose(hermitize(x, 0.2 + 0.1j))
+        se = SelfEnergyData.from_spec(spec)
+        d = error_matrix(x, dec, eta, se)
+
+        def oracle(mats):
+            return max(abs(np.einsum("ij,ji->", b, d)) for b in mats) / (2 * n)
+
+        blocks = [np.kron(c, np.eye(n)) for c in BLOCK_TESTS.values()]
+        tests = default_test_matrices(2 * n)
+        _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[])
+        assert avg == pytest.approx(oracle(blocks), rel=1e-13)
+        for label, b in tests:
+            _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[(label, b)])
+            assert avg == pytest.approx(oracle(blocks + [b]), rel=1e-13), label
+        _, avg = error_matrix_norms(x, dec, eta, se)
+        assert avg == pytest.approx(oracle(blocks + [b for _, b in tests]), rel=1e-13)
+        # each block test on its own, not just the largest
+        for label, c in BLOCK_TESTS.items():
+            monkeypatch.setattr(spectral, "BLOCK_TESTS", {label: c})
+            _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[])
+            assert avg == pytest.approx(oracle([np.kron(c, np.eye(n))]), rel=1e-13), label
