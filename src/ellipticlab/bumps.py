@@ -152,8 +152,8 @@ class TestFunction:
         p = 2.0 + self.a
         return self._profile_norm(p) * self.radius ** (2.0 / p - 2.0)
 
-    def validate(self, n: int, d_exponent: int = 1) -> None:
-        """Reject functions violating the norm comparison constraint."""
-        if self.norm_delta_l2a > float(n) ** d_exponent * self.norm_delta_l1:
+    def validate(self, n: int) -> None:
+        """Reject functions violating ||Delta f||_{L^{2+a}} <= n^D ||Delta f||_{L^1}, D = 1."""
+        if self.norm_delta_l2a > float(n) * self.norm_delta_l1:
             raise ValueError(
-                "test function violates ||Delta f||_{L^{2+a}} <= n^D ||Delta f||_{L^1}")
+                "test function violates ||Delta f||_{L^{2+a}} <= n ||Delta f||_{L^1}")

@@ -1,8 +1,9 @@
 """Batch command-line interface.
 
 Every subcommand is deterministic given its flags; numeric output does not
-depend on the thread count.  Exit codes: 0 pass, 1 experiment assertion
-failure, 2 usage/config error, 3 numerical failure.
+depend on the thread count.  Each experiment, run by its subcommand or from
+a config, prints one JSON line on stdout.  Exit codes: 0 pass, 1 experiment
+assertion failure, 2 usage/config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .dyson import (
     EllipticParam,
     SpectralPoint,
     b_from_v,
+    elliptic_density,
     m_matrix,
     solve_dyson,
     v_equation_residual,
@@ -34,7 +36,7 @@ from .harness import EtaRule, ExperimentGrid
 from .potential import log_potential
 from .quad2d import QuadratureError
 from .spectral import SingularHermitizationError, decompose, default_probes, hermitize, resolvent_functionals
-from .stability import stability_analysis
+from .stability import self_energy_2x2, stability_analysis
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -96,8 +98,7 @@ def cmd_solve_dyson(args) -> int:
     sol = solve_dyson(point, param, tol=args.tol)
     m = m_matrix(sol)
     m_inv = np.linalg.inv(m)
-    s_m = np.array([[m[1, 1], param.rho * m[1, 0]],
-                    [param.rho * m[0, 1], m[0, 0]]])
+    s_m = self_energy_2x2(m, param.rho)
     z2 = np.array([[1j * sol.eta, sol.zeta], [np.conj(sol.zeta), 1j * sol.eta]])
     out = {
         "v": sol.v,
@@ -138,12 +139,12 @@ def cmd_density(args) -> int:
     ax, ay = region.semi_axes
     xs = np.linspace(-ax - 0.2, ax + 0.2, args.resolution)
     ys = np.linspace(-ay - 0.2, ay + 0.2, args.resolution)
-    sigma = 1.0 / (np.pi * (1.0 - args.rho ** 2))
+    param = EllipticParam(args.rho)
     out = _out_dir(args) / (args.out or "density.csv")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("x,y,sigma\n")
         for x in xs:
-            vals = np.where(region.contains(x + 1j * ys), sigma, 0.0)
+            vals = elliptic_density(x + 1j * ys, param)
             for y, val in zip(ys, vals):
                 fh.write(f"{float(x)!r},{float(y)!r},{float(val)!r}\n")
     print(f"wrote {out}")
@@ -203,75 +204,81 @@ def _grid_from_args(args) -> ExperimentGrid:
         seed=args.seed, rho=args.rho, mu=args.mu, base=args.base)
 
 
-def _finish(report, args) -> int:
-    _write_report(report, _out_dir(args), args.format)
-    print(json.dumps({"experiment": report.name, "summary": report.summary},
-                     indent=2, default=str))
-    return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED
-
-
-# options of the registry experiments that take any, read from a config dict
-# or from a subcommand's flags, vars(args): name -> (grid, cfg) -> options
-_OPTIONS = {
-    "deloc": lambda grid, cfg: {"delta": max(grid.delta, 0.1)},
-    "linstats": lambda grid, cfg: {"tf": TestFunction(
-        kind=cfg.get("kind", "polynomial-bump"), center=grid.zeta,
-        alpha=cfg.get("alpha", 0.25))},
-}
-
-
 def _options(name: str, grid, cfg) -> dict:
-    return _OPTIONS[name](grid, cfg) if name in _OPTIONS else {}
+    """A registry experiment's options, read from a config dict or from a
+    subcommand's flags, vars(args); linstats is the only one that takes any."""
+    if name != "linstats":
+        return {}
+    return {"tf": TestFunction(kind=cfg.get("kind", "polynomial-bump"), center=grid.zeta,
+                               alpha=cfg.get("alpha", 0.25))}
+
+
+def _emit(result, out: Path | None, fmt: str | None) -> bool:
+    """Write one experiment's outputs to `out` and print its one JSON line.
+
+    A report writes its records and summary in `fmt`, a DensityMap its CSV;
+    a check (girko-check, mc-check) is already its line and writes nothing.
+    Returns whether the experiment passed.
+    """
+    if isinstance(result, harness.DensityMap):
+        result.write_csv(out / "density_map.csv")
+        line = {"experiment": "density", "mass_inside": result.mass_inside}
+    elif isinstance(result, harness.ExperimentReport):
+        _write_report(result, out, fmt)
+        line = {"experiment": result.name, "passed": result.passed,
+                "summary": result.summary}
+    else:
+        line = result
+    print(json.dumps(line, default=str))
+    return line.get("passed", True)
+
+
+def _exit_code(passed: bool) -> int:
+    return EXIT_OK if passed else EXIT_EXPERIMENT_FAILED
 
 
 def cmd_grid_experiment(args) -> int:
-    """local-law, iso-law, ssv-scan or linstats over the --n grid."""
-    grid, name = _grid_from_args(args), args.command
-    return _finish(harness.run_experiments(grid, {name: _options(name, grid, vars(args))},
-                                           threads=args.threads)[name], args)
+    """local-law, iso-law, ssv-scan, deloc or linstats over the --n grid."""
+    name = args.command
+    if harness.EXPERIMENTS[name].single_n:
+        _single_n(args)
+    grid = _grid_from_args(args)
+    result = harness.run_experiments(grid, {name: _options(name, grid, vars(args))},
+                                     threads=args.threads)[name]
+    return _exit_code(_emit(result, _out_dir(args), args.format))
 
 
-def cmd_deloc(args) -> int:
-    spec = EnsembleSpec(n=_single_n(args), rho=args.rho, mu=args.mu, base=args.base,
-                        seed=args.seed)
-    return _finish(harness.delocalisation_test(spec, delta=args.delta,
-                                               trials=args.trials,
-                                               threads=args.threads), args)
-
-
-def _girko_check(spec, tf, gate: float, quad_tol: float = 1e-4) -> tuple:
-    """(discrepancy, passed) of Girko's identity on trial 0 of `spec`."""
+def _girko_check(spec, tf, gate: float, quad_tol: float) -> dict:
+    """The girko-check line of Girko's identity on trial 0 of `spec`."""
     disc = harness.girko_consistency(sample(spec, trial=0), tf, quad_tol=quad_tol)
-    return disc, disc <= gate
+    return {"experiment": "girko-check", "discrepancy": disc, "passed": disc <= gate}
 
 
 def cmd_girko(args) -> int:
     spec = EnsembleSpec(n=_single_n(args), rho=args.rho, mu=args.mu, base=args.base,
                         seed=args.seed)
     tf = TestFunction(kind=args.kind, center=args.zeta, radius=args.radius)
-    disc, ok = _girko_check(spec, tf, args.gate, args.quad_tol)
-    print(json.dumps({"discrepancy": disc, "gate": args.gate, "passed": ok}, indent=2))
-    return EXIT_OK if ok else EXIT_EXPERIMENT_FAILED
+    return _exit_code(_emit(_girko_check(spec, tf, args.gate, args.quad_tol), None, None))
 
 
-def _violation_frequency(region, rng, reps: int, m: int, mc_delta: float) -> float:
-    """Share of `reps` Monte Carlo means of Re z outside their deviation bound."""
+def _mc_check(region, rng, reps: int, m: int, mc_delta: float) -> dict:
+    """The mc-check line: the share of `reps` Monte Carlo means of Re z outside
+    their deviation bound, which passes when it is at most `mc_delta`."""
     violations = 0
     for _ in range(reps):
         est, bound = harness.monte_carlo_estimate(lambda z: z.real, region, m,
                                                   mc_delta, rng)
         violations += abs(est) > bound
-    return violations / reps
+    freq = violations / reps
+    return {"experiment": "mc-check", "violation_frequency": freq,
+            "passed": freq <= mc_delta}
 
 
 def cmd_mc_check(args) -> int:
     rng = np.random.Generator(np.random.Philox(key=[args.seed, 7]))
-    freq = _violation_frequency(EllipseRegion(args.rho, args.delta), rng, args.reps,
-                                args.m, args.mc_delta)
-    ok = freq <= args.mc_delta
-    print(json.dumps({"violation_frequency": freq, "delta": args.mc_delta,
-                      "reps": args.reps, "passed": ok}, indent=2))
-    return EXIT_OK if ok else EXIT_EXPERIMENT_FAILED
+    line = _mc_check(EllipseRegion(args.rho, args.delta), rng, args.reps, args.m,
+                     args.mc_delta)
+    return _exit_code(_emit(line, None, None))
 
 
 def _config_girko(grid, cfg):
@@ -281,42 +288,24 @@ def _config_girko(grid, cfg):
         raise ValueError(f"girko-check: girko_n must be <= {harness.GIRKO_MAX_N}, "
                          f"got {spec.n}")
     gate = cfg.get("girko_gate", 1e-3)
-
-    def run() -> bool:
-        disc, ok = _girko_check(spec, TestFunction(center=grid.zeta, radius=0.5), gate)
-        print(json.dumps({"experiment": "girko-check", "discrepancy": disc, "passed": ok}))
-        return ok
-    return run
+    tf = TestFunction(center=grid.zeta, radius=0.5)
+    return lambda: _girko_check(spec, tf, gate, quad_tol=1e-4)
 
 
 def _config_mc(grid, cfg):
     region = EllipseRegion(grid.rho, grid.delta)
     reps = cfg.get("mc_reps", 200)
+    if reps < 1:
+        raise ValueError(f"mc-check: mc_reps must be >= 1, got {reps}")
 
-    def run() -> bool:
+    def run() -> dict:
         rng = np.random.Generator(np.random.Philox(key=[grid.seed, 11]))
-        freq = _violation_frequency(region, rng, reps, 100, 0.1)
-        ok = freq <= 0.1
-        print(json.dumps({"experiment": "mc-check", "violation_frequency": freq,
-                          "passed": ok}))
-        return ok
+        return _mc_check(region, rng, reps, 100, 0.1)
     return run
 
 
-# config experiments outside the registry: name -> (grid, cfg) -> run() -> passed
+# config experiments outside the registry: name -> (grid, cfg) -> run() -> line
 _CONFIG_CHECKS = {"girko-check": _config_girko, "mc-check": _config_mc}
-
-
-def _emit(result, out: Path, fmt: str) -> bool:
-    """Write one registry experiment's outputs and print its line; True if it passed."""
-    if isinstance(result, harness.DensityMap):
-        result.write_csv(out / "density_map.csv")
-        print(json.dumps({"experiment": "density", "mass_inside": result.mass_inside}))
-        return True
-    _write_report(result, out, fmt)
-    print(json.dumps({"experiment": result.name, "passed": result.passed,
-                      "summary": result.summary}, default=str))
-    return result.passed
 
 
 def _read_config(name: str):
@@ -362,9 +351,8 @@ def cmd_experiment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failed = []
     for name in names:
-        passed = (_emit(results[name], out, args.format) if name in results
-                  else checks[name]())
-        if not passed:
+        result = results[name] if name in results else checks[name]()
+        if not _emit(result, out, args.format):
             failed.append(name)
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -379,9 +367,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_threads(p) -> None:
     """--threads, for the subcommands that run trials in a pool."""
-    p.add_argument("--threads", type=int, default=_usable_cpus(),
+    p.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
                    help="trials run on this many workers, each with "
                         "single-threaded BLAS (default: the CPUs this process "
                         "may use)")
@@ -483,15 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} experiment")
         _add_output(p)
         _add_seed(p)
-        # deloc reads the eigenvectors of X itself: no spectral point, no eta
+        # deloc reads the eigenvectors of X itself: no spectral point, no eta;
+        # its grid takes delocalisation_test's zeta = 0 and beta = 0.5
         scan = ("trials", "delta") if name == "deloc" else ("zeta", "beta", "trials", "delta")
         _add_sample(p, *scan)
         _add_threads(p)
+        if name == "deloc":
+            p.set_defaults(zeta=0j, beta=0.5)
         if name == "linstats":
             p.add_argument("--alpha", type=float, default=0.25)
             p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                            default="polynomial-bump")
-        p.set_defaults(func=cmd_deloc if name == "deloc" else cmd_grid_experiment)
+        p.set_defaults(func=cmd_grid_experiment)
 
     # girko-check prints its result and writes nothing
     p = sub.add_parser("girko-check", help="Girko identity on one sample, n <= 256")
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--mc-delta", type=float, default=0.1)
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_mc_check)
 
     p = sub.add_parser("experiment", help="run experiments from a JSON config")

@@ -27,6 +27,7 @@ N_CAP = 8192
 _MAGIC = b"ELXM"
 _FLAG_COMPLEX = 1
 _KEY_SALT = 0x656C6C6970746963  # fixed second key word for the Philox streams
+_MOMENT_SIGMAS = 5.0             # a moment fails beyond this many standard errors
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _moment_sums(matrix: EllipticMatrix) -> dict:
     }
 
 
-def _report_from_sums(sums: dict, spec: EnsembleSpec, sigma: float = 5.0) -> MomentReport:
+def _report_from_sums(sums: dict, spec: EnsembleSpec) -> MomentReport:
     n, rho, mu = spec.n, spec.rho, spec.mu
     targets = {
         "mean": 0.0 + 0.0j,
@@ -181,7 +182,7 @@ def _report_from_sums(sums: dict, spec: EnsembleSpec, sigma: float = 5.0) -> Mom
         # degenerate atoms (e.g. unit-modulus entries) have zero sampling
         # variance; allow rounding noise relative to the target scale
         slack = 1e-9 * abs(targets[key]) + 1e-18
-        flags[key] = bool(abs(mean - targets[key]) > sigma * stderr + slack)
+        flags[key] = bool(abs(mean - targets[key]) > _MOMENT_SIGMAS * stderr + slack)
     return MomentReport(
         mean_offdiag=complex(est["mean"]),
         var_offdiag=float(est["var"].real),
@@ -191,14 +192,14 @@ def _report_from_sums(sums: dict, spec: EnsembleSpec, sigma: float = 5.0) -> Mom
         targets=targets, stderrs=se, flags=flags)
 
 
-def moment_self_test(matrix: EllipticMatrix, sigma: float = 5.0) -> MomentReport:
+def moment_self_test(matrix: EllipticMatrix) -> MomentReport:
     """Empirical pair moments of one matrix against their population targets."""
     if matrix.n < 100:
         raise ValueError("moment self-test needs n >= 100 for statistical power")
-    return _report_from_sums(_moment_sums(matrix), matrix.spec, sigma)
+    return _report_from_sums(_moment_sums(matrix), matrix.spec)
 
 
-def aggregate_moment_test(matrices: list[EllipticMatrix], sigma: float = 5.0) -> MomentReport:
+def aggregate_moment_test(matrices: list[EllipticMatrix]) -> MomentReport:
     """Pooled moment report over matrices sampled from the same spec shape."""
     if not matrices:
         raise ValueError("no matrices to aggregate")
@@ -210,7 +211,7 @@ def aggregate_moment_test(matrices: list[EllipticMatrix], sigma: float = 5.0) ->
                 total[key] = (t1 + s1, t2 + s2, tc + cnt)
             else:
                 total[key] = (s1, s2, cnt)
-    return _report_from_sums(total, matrices[0].spec, sigma)
+    return _report_from_sums(total, matrices[0].spec)
 
 
 def save_matrix(matrix: EllipticMatrix, path) -> None:

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .bumps import TestFunction
-from .dyson import EllipseRegion, solve_dyson_grid
+from .dyson import EllipseRegion, EllipticParam, elliptic_density, solve_dyson_grid
 from .ensemble import EllipticMatrix, EnsembleSpec, sample
 from .quad2d import adaptive_quad2d
 from .spectral import (
@@ -438,23 +438,24 @@ def _iso_law_summary(records, grid, _state):
     return ExperimentReport("isotropic_local_law", _grid_params(grid), records, summary)
 
 
-def deloc_probes(n: int, seed: int, k_random: int = 4):
+def deloc_probes(n: int, seed: int):
+    """e1, the uniform and alternating unit vectors, and four seeded random units."""
     e1 = np.zeros(n, dtype=complex); e1[0] = 1.0
     uni = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     alt = np.array([(-1.0) ** i for i in range(n)], dtype=complex) / np.sqrt(n)
     probes = [("e1", e1), ("uniform", uni), ("alternating", alt)]
     rng = np.random.default_rng(seed)
-    for j in range(k_random):
+    for j in range(4):
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         probes.append((f"rand{j}", g / np.linalg.norm(g)))
     return probes
 
 
-def _deloc_setup(setting, delta, w_probes=None):
+def _deloc_setup(setting, w_probes=None):
     if w_probes is None:
         w_probes = deloc_probes(setting.n, seed=setting.spec.seed)
     norms = np.array([np.linalg.norm(w) for _, w in w_probes])
-    return EllipseRegion(setting.grid.rho, delta), w_probes, norms
+    return EllipseRegion(setting.grid.rho, setting.grid.delta), w_probes, norms
 
 
 def _deloc_observe(ctx, state):
@@ -483,8 +484,8 @@ def _deloc_observe(ctx, state):
     return out
 
 
-def _deloc_summary(records, grid, state):
-    n, delta = grid.n_values[0], state[0].delta
+def _deloc_summary(records, grid, _state):
+    n, delta = grid.n_values[0], grid.delta
     summary = {
         "max_stat": max(r.observed for r in records),
         "envelope": float(np.sqrt(np.log(n))),
@@ -673,24 +674,21 @@ def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
     grid = ExperimentGrid(n_values=(spec.n,), zeta=0j, eta_rule=EtaRule(0.5),
                           trials=trials, delta=delta, seed=spec.seed, rho=spec.rho,
                           mu=spec.mu, base=spec.base)
-    return run_experiments(grid, {"deloc": {"delta": delta, "w_probes": w_probes}},
-                           threads)["deloc"]
+    return run_experiments(grid, {"deloc": {"w_probes": w_probes}}, threads)["deloc"]
 
 
-def density_integral(tf: TestFunction, rho: float, n: int,
-                     tol: float = 1e-8) -> float:
-    """int f_{zeta0,alpha} sigma_rho by adaptive quadrature over the support."""
-    region = EllipseRegion(rho)
-    sigma = 1.0 / (np.pi * (1.0 - rho ** 2))
+def density_integral(tf: TestFunction, rho: float, n: int) -> float:
+    """int f_{zeta0,alpha} sigma_rho by adaptive quadrature over the support, to 1e-8."""
+    param = EllipticParam(rho)
     r = tf.support_radius(n)
     c = tf.center
     box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
     def integrand(pts):
         vals = tf.observable(pts, n)
-        return np.real(vals) * np.where(region.contains(pts), sigma, 0.0)
+        return np.real(vals) * elliptic_density(pts, param)
 
-    val, _ = adaptive_quad2d(integrand, box, tol=tol)
+    val, _ = adaptive_quad2d(integrand, box, tol=1e-8)
     return float(val)
 
 
@@ -709,6 +707,9 @@ def error_matrix_experiment(grid: ExperimentGrid, threads: int = 1) -> Experimen
     """Isotropic/averaged error-matrix norms against their predicted scalings."""
     return run_experiments(grid, {"error-matrix": {}}, threads)["error-matrix"]
 
+
+# radius of the disk around each eigenvalue where Girko's log pole is patched
+_EXCLUSION_RADIUS = 1e-4
 
 # complex entries of the Hyman working array (1 MB): nodes go through the
 # recurrence in blocks of _HYMAN_ENTRIES // n, whatever n is
@@ -759,8 +760,7 @@ def _hyman_log_abs_det(hb, zeta, work) -> np.ndarray:
         return np.log(np.abs(c)) + log_scale
 
 
-def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
-                      exclusion_radius: float = 1e-4) -> float:
+def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     """|linear statistic - Girko log-determinant integral| for n <= 256.
 
     The left side sums f over spec X; the right side integrates
@@ -769,8 +769,8 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
     method on each irreducible block of H in O(n^2) per node.  So the right
     side shares its first step, the Hessenberg reduction, with LAPACK's
     `eigvals` on the left; the tests keep `slogdet` (LU) as an independent
-    oracle for the determinants.  A log-singularity exclusion of the given
-    radius around each eigenvalue is patched analytically.
+    oracle for the determinants.  A log-singularity exclusion of radius
+    1e-4 around each eigenvalue is patched analytically.
     Where a block's residual is exactly 0 at a node (X - zeta singular),
     the node's value is the sum of the logs of the singular values of
     X - zeta, the zero ones floored at 1e-300.
@@ -783,7 +783,7 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4,
     eigs = np.linalg.eigvals(a)
     lhs = float(np.mean(np.real(tf.f(eigs))))
 
-    r0 = exclusion_radius
+    r0 = _EXCLUSION_RADIUS
     diag = np.arange(n)
     blocks = _hessenberg_blocks(a)
     chunk = max(1, _HYMAN_ENTRIES // n)
@@ -866,30 +866,29 @@ class DensityMap:
                              f"{float(self.sigma[i, j])!r}\n")
 
 
-def _density_from_eigenvalues(eigs, spec: EnsembleSpec, grid_resolution: int = 101,
-                              margin: float = 0.3) -> DensityMap:
+def _density_from_eigenvalues(eigs, spec: EnsembleSpec,
+                              grid_resolution: int = 101) -> DensityMap:
+    """The histogram grid spans the ellipse's bounding box plus a 0.3 margin."""
     region = EllipseRegion(spec.rho)
     ax, ay = region.semi_axes
-    xs = np.linspace(-ax - margin, ax + margin, grid_resolution + 1)
-    ys = np.linspace(-ay - margin, ay + margin, grid_resolution + 1)
+    xs = np.linspace(-ax - 0.3, ax + 0.3, grid_resolution + 1)
+    ys = np.linspace(-ay - 0.3, ay + 0.3, grid_resolution + 1)
     hist, _, _ = np.histogram2d(eigs.real, eigs.imag, bins=[xs, ys])
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
     hist = hist / (spec.n * cell)
     xc = 0.5 * (xs[:-1] + xs[1:])
     yc = 0.5 * (ys[:-1] + ys[1:])
     grid_pts = xc[:, None] + 1j * yc[None, :]
-    sigma = np.where(region.contains(grid_pts),
-                     1.0 / (np.pi * (1.0 - spec.rho ** 2)), 0.0)
+    sigma = elliptic_density(grid_pts, EllipticParam(spec.rho))
     mass_inside = float(np.mean(region.contains(eigs)))
     return DensityMap(x_centers=xc, y_centers=yc, histogram=hist, sigma=sigma,
                       mass_inside=mass_inside, n=spec.n)
 
 
-def density_map(spec: EnsembleSpec, grid_resolution: int = 101,
-                trial: int = 0, margin: float = 0.3) -> DensityMap:
-    """Eigenvalue histogram of one sample against the ellipse density."""
-    eigs = _eig(sample(spec, trial).entries, vectors=False)
-    return _density_from_eigenvalues(eigs, spec, grid_resolution, margin)
+def density_map(spec: EnsembleSpec, grid_resolution: int = 101) -> DensityMap:
+    """Eigenvalue histogram of trial 0 against the ellipse density."""
+    eigs = _eig(sample(spec, 0).entries, vectors=False)
+    return _density_from_eigenvalues(eigs, spec, grid_resolution)
 
 
 def dump_eigenvalues(path, dec_list) -> None:

@@ -16,17 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from .bumps import TestFunction
-from .dyson import EllipseRegion, EllipticParam, solve_dyson_grid
+from .dyson import EllipseRegion, EllipticParam, elliptic_density, solve_dyson_grid
 from .quad2d import QuadratureError
 
 ETA_MIN = 1e-8
 ETA_MAX = 1e4
 _N0 = 256
 _N_CAP = 1 << 16
+_SOLVER_TOL = 1e-12      # Dyson tolerance at every quadrature node
 
 
-def _integrand(zeta_col, etas, rho, tol):
-    v, _, _, _ = solve_dyson_grid(zeta_col[:, None], etas[None, :], rho, tol=tol)
+def _integrand(zeta_col, etas, rho):
+    v, _, _, _ = solve_dyson_grid(zeta_col[:, None], etas[None, :], rho, tol=_SOLVER_TOL)
     return v - 1.0 / (1.0 + etas[None, :])
 
 
@@ -34,7 +35,16 @@ def _tail(t_cut, zeta):
     return np.log((1.0 + t_cut) / np.sqrt(t_cut ** 2 + 1.0 + np.abs(zeta) ** 2))
 
 
-def _simpson_log(zeta_flat, rho, lo, hi, quad_tol, solver_tol):
+def _simpson_weights(n: int, length: float) -> np.ndarray:
+    """Composite Simpson weights of n (even) panels on an interval of `length`."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= length / (3.0 * n)
+    return w
+
+
+def _simpson_log(zeta_flat, rho, lo, hi, quad_tol):
     """Composite Simpson in s = log eta with grid doubling until converged."""
     s_lo, s_hi = np.log(lo), np.log(hi)
     n = _N0
@@ -42,13 +52,9 @@ def _simpson_log(zeta_flat, rho, lo, hi, quad_tol, solver_tol):
     while n <= _N_CAP:
         s = np.linspace(s_lo, s_hi, n + 1)
         etas = np.exp(s)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (s_hi - s_lo) / (3.0 * n)
         # d eta = eta ds
-        vals = _integrand(zeta_flat, etas, rho, solver_tol) * etas[None, :]
-        cur = vals @ w
+        vals = _integrand(zeta_flat, etas, rho) * etas[None, :]
+        cur = vals @ _simpson_weights(n, s_hi - s_lo)
         if prev is not None and np.max(np.abs(cur - prev)) <= 0.5 * quad_tol:
             return cur + (cur - prev) / 15.0
         prev = cur
@@ -57,7 +63,7 @@ def _simpson_log(zeta_flat, rho, lo, hi, quad_tol, solver_tol):
 
 
 def log_potential_grid(zeta, param: EllipticParam, quad_tol: float = 1e-6,
-                       eps: float = 0.0, solver_tol: float = 1e-12):
+                       eps: float = 0.0):
     """L_eps(zeta) on an array of zeta values (eps=0 gives L itself)."""
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
@@ -67,12 +73,12 @@ def log_potential_grid(zeta, param: EllipticParam, quad_tol: float = 1e-6,
     flat = zeta.ravel()
 
     lo = max(eps, ETA_MIN)
-    integral = _simpson_log(flat, param.rho, lo, ETA_MAX, quad_tol, solver_tol)
+    integral = _simpson_log(flat, param.rho, lo, ETA_MAX, quad_tol)
     integral += _tail(ETA_MAX, flat)
     if eps < ETA_MIN:
         # head segment [eps, ETA_MIN]: midpoint value, |integrand| <= 2 there
         mid = 0.5 * (eps + ETA_MIN)
-        head = _integrand(flat, np.array([mid]), param.rho, solver_tol)[:, 0]
+        head = _integrand(flat, np.array([mid]), param.rho)[:, 0]
         integral += head * (ETA_MIN - eps)
     out = -integral
     return out.reshape(zeta.shape) if zeta.shape else float(out[0])
@@ -110,17 +116,17 @@ def log_potential_derivative_check(zeta: complex, eps: float, param: EllipticPar
 
 
 def distributional_check(psi: TestFunction, param: EllipticParam,
-                         nodes: int = 64, quad_tol: float = 1e-5,
-                         delta_margin: float = 1e-6):
+                         nodes: int = 64, quad_tol: float = 1e-5):
     """Pair L against a bump: returns ((1/2pi) int DeltaPsi L, int Psi sigma).
 
-    psi must be supported inside the open ellipse; both integrals run on the
-    same tensor Simpson grid over the support square.
+    psi must be supported inside the open ellipse, its rim at an ellipse form
+    below 1 - 1e-6; both integrals run on the same tensor Simpson grid over
+    the support square.
     """
     region = EllipseRegion(param.rho)
     angles = np.linspace(0.0, 2.0 * np.pi, 721)
     rim = psi.center + psi.radius * np.exp(1j * angles)
-    if np.max(region.ellipse_form(rim)) >= 1.0 - delta_margin:
+    if np.max(region.ellipse_form(rim)) >= 1.0 - 1e-6:
         raise ValueError("bump support must lie strictly inside the ellipse")
 
     if nodes % 2:
@@ -128,10 +134,7 @@ def distributional_check(psi: TestFunction, param: EllipticParam,
     c, r = psi.center, psi.radius
     xs = np.linspace(c.real - r, c.real + r, nodes + 1)
     ys = np.linspace(c.imag - r, c.imag + r, nodes + 1)
-    w = np.ones(nodes + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (2.0 * r) / (3.0 * nodes)
+    w = _simpson_weights(nodes, 2.0 * r)
     w2 = np.outer(w, w)
     grid = xs[:, None] + 1j * ys[None, :]
 
@@ -139,6 +142,5 @@ def distributional_check(psi: TestFunction, param: EllipticParam,
     lvals = log_potential_grid(grid, param, quad_tol)
     lhs = float(np.sum(w2 * lap * lvals)) / (2.0 * np.pi)
 
-    sigma = 1.0 / (np.pi * (1.0 - param.rho ** 2))
-    rhs = float(np.sum(w2 * psi.f(grid) * np.where(region.contains(grid), sigma, 0.0)))
+    rhs = float(np.sum(w2 * psi.f(grid) * elliptic_density(grid, param)))
     return lhs, rhs

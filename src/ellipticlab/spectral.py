@@ -166,12 +166,12 @@ def smallest_singular_value(dec: SpectralDecomposition) -> float:
     return float(dec.singular_values[-1])
 
 
-def log_det_check(dec: SpectralDecomposition, t_cut: float,
-                  epsabs: float = 1e-9) -> tuple[float, float]:
+def log_det_check(dec: SpectralDecomposition, t_cut: float) -> tuple[float, float]:
     """Both sides of log|det H| = -2n int_0^T <Im G> d eta + log|det(H - iT)|.
 
     The left side is the exact eigenvalue sum; the right side integrates the
-    spectral form of <Im G> numerically, so agreement is quadrature-limited.
+    spectral form of <Im G> numerically (absolute tolerance 1e-9), so
+    agreement is quadrature-limited.
     """
     # imported here: loading scipy.integrate costs more than importing this package
     from scipy.integrate import quad
@@ -190,7 +190,7 @@ def log_det_check(dec: SpectralDecomposition, t_cut: float,
         return eta * np.mean(1.0 / (s2 + eta ** 2))
 
     pts = sorted({float(np.clip(v, 1e-12, t_cut)) for v in (s[-1], np.median(s), s[0])})
-    integral, _ = quad(im_trace, 0.0, t_cut, points=pts, limit=400, epsabs=epsabs)
+    integral, _ = quad(im_trace, 0.0, t_cut, points=pts, limit=400, epsabs=1e-9)
     rhs = -2.0 * n * integral + float(np.sum(np.log(s2 + t_cut ** 2)))
     return lhs, rhs
 
@@ -249,13 +249,11 @@ class SelfEnergyData:
     rho: float
     p: complex
     q: complex
-    include_hadamard: bool = True
 
     @classmethod
-    def from_spec(cls, spec: EnsembleSpec, include_hadamard: bool = True) -> "SelfEnergyData":
+    def from_spec(cls, spec: EnsembleSpec) -> "SelfEnergyData":
         shift = 2.0 * spec.mu - 1.0
-        return cls(rho=spec.rho, p=shift * spec.rho / spec.n, q=shift / spec.n,
-                   include_hadamard=include_hadamard)
+        return cls(rho=spec.rho, p=shift * spec.rho / spec.n, q=shift / spec.n)
 
 
 def _g_blocks(dec: SpectralDecomposition, eta: float):
@@ -281,15 +279,10 @@ def self_energy_hat(g11, g12, g21, g22, se: SelfEnergyData):
     """Blocks of hat-S[G] = S[G] + Hadamard corrections."""
     n = g11.shape[0]
     tr = lambda b: np.trace(b) / n
-    k11 = tr(g22) * np.eye(n)
-    k12 = se.rho * tr(g21) * np.eye(n)
-    k21 = se.rho * tr(g12) * np.eye(n)
-    k22 = tr(g11) * np.eye(n)
-    if se.include_hadamard:
-        k11 = k11 + _hadamard(g22, se.p)
-        k12 = k12 + _hadamard(g21, se.q)
-        k21 = k21 + _hadamard(g12, np.conj(se.q))
-        k22 = k22 + _hadamard(g11, se.p)
+    k11 = tr(g22) * np.eye(n) + _hadamard(g22, se.p)
+    k12 = se.rho * tr(g21) * np.eye(n) + _hadamard(g21, se.q)
+    k21 = se.rho * tr(g12) * np.eye(n) + _hadamard(g12, np.conj(se.q))
+    k22 = tr(g11) * np.eye(n) + _hadamard(g11, se.p)
     return k11, k12, k21, k22
 
 
@@ -311,12 +304,13 @@ def error_matrix(x, dec: SpectralDecomposition, eta: float,
     return d
 
 
-def _spectral_norm_estimate(b: np.ndarray, iters: int = 40, seed: int = 3) -> float:
-    rng = np.random.default_rng(seed)
+def _spectral_norm_estimate(b: np.ndarray) -> float:
+    """40 seeded power steps on B^H B: a lower bound on ||B||_2."""
+    rng = np.random.default_rng(3)
     x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
     x /= np.linalg.norm(x)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(40):
         y = b @ x
         # B^H y, without a conjugated copy of B
         x = (y.conj() @ b).conj()
@@ -337,8 +331,8 @@ BLOCK_TESTS = {
 }
 
 
-def default_test_matrices(n2: int, seed: int = 1, k: int = 4):
-    """The k seeded random test matrices of the averaged error norm.
+def default_test_matrices(n2: int):
+    """The four random test matrices of the averaged error norm, from seed 1.
 
     Each is divided by a 40-step power estimate of its 2-norm (a lower bound,
     so the norms end slightly above 1) and stored Fortran-ordered, so that
@@ -346,9 +340,9 @@ def default_test_matrices(n2: int, seed: int = 1, k: int = 4):
     block tests of `BLOCK_TESTS` need no matrix: their traces come from D's
     block traces.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     mats = []
-    for j in range(k):
+    for j in range(4):
         g = np.empty((n2, n2), dtype=complex)
         g.real = rng.standard_normal((n2, n2))
         g.imag = rng.standard_normal((n2, n2))

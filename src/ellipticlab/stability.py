@@ -72,10 +72,9 @@ def eminus_leakage(m: np.ndarray, rho: float) -> float:
     return worst
 
 
-def stability_analysis(point: SpectralPoint, param: EllipticParam,
-                       tol: float = 1e-12) -> StabilityReport:
-    """Solve at the point and analyse L restricted to E_-^perp."""
-    sol = solve_dyson(point, param, tol=tol)
+def stability_analysis(point: SpectralPoint, param: EllipticParam) -> StabilityReport:
+    """Solve at the point (to 1e-12) and analyse L restricted to E_-^perp."""
+    sol = solve_dyson(point, param)
     m = m_matrix(sol)
     l3, s3 = stability_operator(m, param.rho)
 

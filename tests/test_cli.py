@@ -77,6 +77,32 @@ class TestParsing:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["experiment", "local-law", "iso-law", "ssv-scan",
+                                         "deloc", "linstats"])
+    def test_threads_below_one_rejected(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        if command == "experiment":
+            cfg = tmp_path / "one.json"
+            cfg.write_text(json.dumps({
+                "schema": 1, "ensemble": {"rho": 0.5, "seed": 1},
+                "grid": {"n_values": [16], "zeta": "0.05+0.05i", "trials": 1},
+                "experiments": ["local-law"], "output_dir": str(out)}))
+            argv = ["experiment", str(cfg)]
+        else:
+            argv = [command, "--n", "16", "--trials", "1", "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "0"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_mc_check_reps_below_one_rejected(self, reps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-check", "--reps", reps])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -309,7 +335,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("extra, message", [
         ({"girko_n": 512}, "girko_n"),
         ({"experiments": ["local-law", "frobnicate"]}, "frobnicate"),
-    ], ids=["girko_n", "unknown"])
+        ({"experiments": ["local-law", "mc-check"], "mc_reps": 0}, "mc_reps"),
+    ], ids=["girko_n", "unknown", "mc_reps"])
     def test_config_checked_before_anything_runs(self, extra, message, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._mini_config(tmp_path / "bad.json", output_dir=str(out),
@@ -330,6 +357,52 @@ class TestExperimentConfig:
         out = tmp_path / "smoke_out"
         assert (out / "averaged_local_law.summary.json").exists()
         assert (out / "density_map.csv").exists()
+
+
+class TestOnePathPerExperiment:
+    """An experiment subcommand writes and prints what the experiment does in a config."""
+
+    def _config(self, tmp_path, experiments, **grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema": 1, "ensemble": {"rho": 0.5, "seed": 3},
+            "grid": {"n_values": [64], "trials": 1, **grid},
+            "experiments": experiments, "mc_reps": 20,
+            "output_dir": str(tmp_path / "cfg")}))
+        return str(cfg)
+
+    def test_deloc_takes_delta_as_given(self, tmp_path):
+        assert main(["deloc", "--n", "64", "--trials", "2", "--delta", "0.05", "--seed", "3",
+                     "--out-dir", str(tmp_path / "sub")]) == 0
+        cfg = self._config(tmp_path, ["deloc"], zeta="0.3+0.2i", trials=2, delta=0.05)
+        assert main(["experiment", cfg]) == 0
+        for name in ("delocalisation.jsonl", "delocalisation.summary.json"):
+            assert ((tmp_path / "sub" / name).read_bytes()
+                    == (tmp_path / "cfg" / name).read_bytes()), name
+        summary = json.loads((tmp_path / "cfg" / "delocalisation.summary.json").read_text())
+        assert summary["params"]["delta"] == summary["summary"]["delta"] == 0.05
+
+    @pytest.mark.parametrize("command", ["local-law", "iso-law", "ssv-scan", "deloc",
+                                         "linstats", "girko-check", "mc-check"])
+    def test_one_json_line_with_the_config_keys(self, command, tmp_path, capsys):
+        if command == "girko-check":
+            argv = ["--n", "16", "--zeta", "0.05+0.05i"]
+        elif command == "mc-check":
+            argv = ["--reps", "20"]
+        else:
+            argv = ["--n", "64", "--trials", "1", "--out-dir", str(tmp_path / "sub")]
+            argv += [] if command == "deloc" else ["--zeta", "0.05+0.05i"]
+        main([command, *argv, "--seed", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        sub = json.loads(lines[0])
+        main(["experiment", self._config(tmp_path, [command], zeta="0.05+0.05i")])
+        (line,) = capsys.readouterr().out.splitlines()
+        cfg = json.loads(line)
+        assert sub.keys() == cfg.keys()
+        assert sub["experiment"] == cfg["experiment"]
+        if "summary" in cfg:
+            assert sub["summary"].keys() == cfg["summary"].keys()
 
 
 POOLED = ["local-law", "iso-law", "ssv-scan", "deloc", "linstats", "error-matrix"]

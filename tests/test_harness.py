@@ -86,7 +86,7 @@ class TestThreads:
         # all six pooled experiments in one run_experiments call share each trial
         grid = small_grid(n_values=(256,), trials=2)
         requests = {"local-law": {}, "iso-law": {}, "ssv-scan": {},
-                    "deloc": {"delta": grid.delta},
+                    "deloc": {},
                     "linstats": {"tf": Bump(center=grid.zeta, alpha=0.25)},
                     "error-matrix": {}}
         a = harness.run_experiments(grid, requests, threads=1)
@@ -253,7 +253,7 @@ class TestRealEigensolver:
 
         def run():
             return harness.run_experiments(
-                grid, {"deloc": {"delta": 0.1}, "linstats": {"tf": Bump(center=0.0, alpha=0.25)}})
+                grid, {"deloc": {}, "linstats": {"tf": Bump(center=0.0, alpha=0.25)}})
 
         got = run()
         # the eigensolver calls as they were before the real path existed
