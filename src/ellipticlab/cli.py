@@ -316,14 +316,54 @@ def _read_config(name: str):
     return json.loads(bundled.read_text()) if bundled.is_file() else None
 
 
+# the kind of each config value `experiment` reads, by (section, key); "" is the top level
+_CONFIG_KINDS = {
+    ("ensemble", "rho"): "a number", ("ensemble", "mu"): "a number",
+    ("ensemble", "base"): "a string", ("ensemble", "seed"): "an integer",
+    ("grid", "n_values"): "a list of integers", ("grid", "zeta"): "a string",
+    ("grid", "beta"): "a number", ("grid", "trials"): "an integer",
+    ("grid", "delta"): "a number",
+    ("", "experiments"): "a list of strings", ("", "output_dir"): "a string",
+    ("", "alpha"): "a number", ("", "kind"): "a string", ("", "girko_n"): "an integer",
+    ("", "girko_gate"): "a number", ("", "mc_reps"): "an integer",
+}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_IS_KIND = {
+    "an integer": _is_integer,
+    "a number": lambda v: _is_integer(v) or isinstance(v, float),
+    "a string": lambda v: isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+
+
+def _check_config_kinds(cfg: dict) -> None:
+    """Raise ValueError at the first config value of the wrong JSON type."""
+    for section in ("ensemble", "grid"):
+        if not isinstance(cfg[section], dict):
+            raise ValueError(f"{section} must be an object, got {cfg[section]!r}")
+    for (section, key), kind in _CONFIG_KINDS.items():
+        values = cfg[section] if section else cfg
+        if key in values and not _IS_KIND[kind](values[key]):
+            name = f"{section}.{key}" if section else key
+            raise ValueError(f"{name} must be {kind}, got {values[key]!r}")
+
+
 def cmd_experiment(args) -> int:
     cfg = _read_config(args.config)
     if cfg is None:
         print(f"config not found: {args.config}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.get("schema") != SCHEMA_VERSION:
-        print(f"unsupported config schema {cfg.get('schema')!r}", file=sys.stderr)
+    schema = cfg.get("schema") if isinstance(cfg, dict) else None
+    if not _is_integer(schema) or schema != SCHEMA_VERSION:
+        print(f"unsupported config schema {schema!r}", file=sys.stderr)
         return EXIT_USAGE
+    _check_config_kinds(cfg)
     ens = cfg["ensemble"]
     grid_cfg = cfg["grid"]
     grid = ExperimentGrid(

@@ -148,18 +148,23 @@ def _moment_sums(matrix: EllipticMatrix) -> dict:
     """Raw sums of the moment statistics, mergeable across matrices."""
     x = matrix.entries
     n = matrix.n
-    off = ~np.eye(n, dtype=bool)
-    xo = x[off]
+    flat = x.reshape(-1)
+    # the off-diagonal entries as an (n - 1) x n view: row k runs from just
+    # after diagonal entry k to just before diagonal entry k + 1
+    xo = flat[1:].reshape(n - 1, n + 1)[:, :n]
+    abs2 = xo.real ** 2 + xo.imag ** 2
+    abs4 = np.sum(abs2 ** 2)
     iu, ju = np.triu_indices(n, k=1)
-    pair = x[iu, ju] * x[ju, iu]
-    conj = x[iu, ju] * np.conj(x[ju, iu])
-    sq = x[off] ** 2
+    upper, lower = flat.take(iu * n + ju), flat.take(ju * n + iu)
+    pair = upper * lower
+    conj = upper * np.conj(lower)
+    pair_abs2 = np.sum(np.abs(pair) ** 2)     # = sum |conj|^2
     return {
-        "mean": (xo.sum(), np.sum(np.abs(xo) ** 2), xo.size),
-        "var": (np.sum(np.abs(xo) ** 2), np.sum(np.abs(xo) ** 4), xo.size),
-        "cov_pair": (pair.sum(), np.sum(np.abs(pair) ** 2), pair.size),
-        "pseudo_cov": (sq.sum(), np.sum(np.abs(sq) ** 2), sq.size),
-        "conj_cov": (conj.sum(), np.sum(np.abs(conj) ** 2), conj.size),
+        "mean": (xo.sum(), np.sum(abs2), xo.size),
+        "var": (np.sum(abs2), abs4, xo.size),
+        "cov_pair": (pair.sum(), pair_abs2, pair.size),
+        "pseudo_cov": (np.sum(xo ** 2), abs4, xo.size),
+        "conj_cov": (conj.sum(), pair_abs2, conj.size),
     }
 
 

@@ -9,13 +9,15 @@ The sample-based experiments are the entries of one registry,
 `EXPERIMENTS`.  An entry declares up front which factorizations of a
 sampled X it reads (`eig`, `eigvals`, the SVD of X - zeta with or without
 vectors), builds what the trials at one n share (the Dyson solution, probes,
-test matrices, density integrals) once before any trial runs, turns one
-`TrialContext` into records, and summarizes its records.  `run_experiments`
-runs any set of entries over one pool of (n, trial) tasks.  Each task
-samples X once and factors it once for the union of the needs (`eig`
-covers `eigvals`, the SVD with vectors covers the one without), every entry
-reads that context, and the context is dropped when the task ends.  The
-public experiment functions are single-entry calls of `run_experiments`.
+test matrices, density integrals) once per n, turns one `TrialContext` into
+records, and summarizes its records.  `run_experiments` runs any set of
+entries over one pool of (n, trial) tasks.  Each task samples X once and
+factors it once for the union of the needs (`eig` covers `eigvals`, the SVD
+with vectors covers the one without), every entry reads that context, and
+the context is dropped when the task ends.  Sampling and factoring read no
+per-n state, so with a pool the calling thread builds that state while the
+workers sample and factor.  The public experiment functions are
+single-entry calls of `run_experiments`.
 
 A sampled X whose entries are all real (the default mu = 1) is
 eigendecomposed by LAPACK's real driver, and deloc's residual X V is a real
@@ -23,10 +25,10 @@ product; the eigenvalues and eigenvectors are complex128 either way.  The
 error-matrix experiment forms no 2n x 2n test matrix: its block tests are
 traced from D's four n x n block traces.
 
-The `threads` argument sets how many tasks run at once; while they run, the
-OpenBLAS libraries bundled with numpy and scipy are held at one thread
-each, so there is one level of parallelism and every task does the same
-arithmetic whatever `threads` is.  Records are merged in
+The `threads` argument sets how many tasks run at once; while they and the
+per-n setups run, the OpenBLAS libraries bundled with numpy and scipy are
+held at one thread each, so there is one level of parallelism and every
+task does the same arithmetic whatever `threads` is.  Records are merged in
 (n, zeta, eta, trial) lexicographic order, so thread counts never change
 the output.
 """
@@ -38,7 +40,7 @@ import functools
 import importlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -229,16 +231,6 @@ class _SingleThreadedBlas:
 
 
 _SINGLE_THREADED_BLAS = _SingleThreadedBlas()
-
-
-def _run_tasks(fn, keys, threads: int):
-    # threads == 1 is pinned too: a multithreaded BLAS may round differently,
-    # and records must not depend on `threads`
-    with _SINGLE_THREADED_BLAS:
-        if threads <= 1:
-            return [fn(k) for k in keys]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, keys))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -622,20 +614,31 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     """Run registry experiments on shared trial contexts in one pool.
 
     `requests` maps `EXPERIMENTS` names to the options of each one's
-    setup.  Every setup runs before any trial, so a bad option raises
-    before anything is sampled.  Each (n, trial) task then samples X once,
-    factors it once for the union of the needs of the experiments observing
-    that trial, and passes the context to each of them.  Returns each
-    experiment's result (a report; a DensityMap for "density") by name.
+    setup.  Each (n, trial) task samples X once, factors it once for the
+    union of the needs of the experiments observing that trial, and passes
+    the context to each of them.  With `threads` >= 2 the tasks go to the
+    pool first, and the calling thread runs the per-n setups while the
+    workers sample and factor; a task waits for its n's setup only before
+    its first `observe`.  With `threads` = 1 every setup runs before any
+    trial.  A setup that raises raises from this call once the tasks not
+    yet started are cancelled and those waiting for a setup released, so
+    no trial starts after the failure.  Everything, setups and summaries
+    included, runs on single-threaded BLAS.  Returns each experiment's
+    result (a report; a DensityMap for "density") by name.
     """
     chosen = {name: EXPERIMENTS[name] for name in requests}
     single = [name for name, exp in chosen.items() if exp.single_n]
     if single and len(grid.n_values) > 1:
         raise ValueError(f"{', '.join(single)}: takes one n value, got "
                          f"{len(grid.n_values)} in grid.n_values")
-    settings = [_Setting(grid, n) for n in grid.n_values]
-    states = {(name, s.n): exp.setup(s, **requests[name])
-              for name, exp in chosen.items() for s in settings}
+    settings = {n: _Setting(grid, n) for n in grid.n_values}
+    # each n's setup result, {name: state}, which tasks wait for after sampling
+    states = {n: Future() for n in settings}
+
+    def setup_all():
+        for n, setting in settings.items():
+            states[n].set_result({name: exp.setup(setting, **requests[name])
+                                  for name, exp in chosen.items()})
 
     def observers(trial):
         return [name for name, exp in chosen.items()
@@ -646,14 +649,33 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
         names = observers(trial)
         needs = frozenset().union(*(chosen[name].needs for name in names))
         ctx = TrialContext.build(grid, n, trial, needs)
+        state = states[n].result()
         return [(name, rec) for name in names
-                for rec in chosen[name].observe(ctx, states[name, n])]
+                for rec in chosen[name].observe(ctx, state[name])]
 
     tasks = [(n, t) for n in grid.n_values for t in range(grid.trials) if observers(t)]
-    observed = [pair for batch in _run_tasks(run, tasks, threads) for pair in batch]
-    return {name: exp.summarize([rec for key, rec in observed if key == name], grid,
-                                states[name, grid.n_values[0]])
-            for name, exp in chosen.items()}
+    # threads == 1 is pinned too: a multithreaded BLAS may round differently,
+    # and records must not depend on `threads`
+    with _SINGLE_THREADED_BLAS:
+        if threads <= 1:
+            setup_all()
+            batches = [run(key) for key in tasks]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                pending = [pool.submit(run, key) for key in tasks]
+                try:
+                    setup_all()
+                    batches = [task.result() for task in pending]
+                finally:
+                    # after a failure: first drop the tasks not started, then
+                    # release those waiting for a setup, so none starts anew
+                    for f in [*pending, *states.values()]:
+                        f.cancel()
+        observed = [pair for batch in batches for pair in batch]
+        first = states[grid.n_values[0]].result()
+        return {name: exp.summarize([rec for key, rec in observed if key == name], grid,
+                                    first[name])
+                for name, exp in chosen.items()}
 
 
 def averaged_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:

@@ -257,15 +257,15 @@ class SelfEnergyData:
 
 
 def _g_blocks(dec: SpectralDecomposition, eta: float):
+    """The n x n blocks of G; G21 = V (S f) U^H is G12^H, so it costs no product."""
     s = dec.singular_values
     f = 1.0 / (s ** 2 + eta ** 2)
     u, vh = dec.u, dec.vh
     v, uh = vh.conj().T, u.conj().T
     g11 = (u * (1j * eta * f)) @ uh
     g12 = (u * (s * f)) @ vh
-    g21 = (v * (s * f)) @ uh
     g22 = (v * (1j * eta * f)) @ vh
-    return g11, g12, g21, g22
+    return g11, g12, g12.conj().T, g22
 
 
 def _hadamard(block_t: np.ndarray, coeff: complex) -> np.ndarray:

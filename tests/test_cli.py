@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +347,51 @@ class TestExperimentConfig:
         assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    # one value of the wrong JSON type per config value that `experiment` reads
+    WRONG_TYPES = [
+        ("ensemble.rho", "0.5"),
+        ("ensemble.mu", [1.0]),
+        ("ensemble.base", 1),
+        ("ensemble.seed", 7.5),
+        ("grid.n_values", [32.0]),
+        ("grid.zeta", 0.3),
+        ("grid.beta", "0.75"),
+        ("grid.trials", "2"),
+        ("grid.delta", None),
+        ("experiments", "local-law"),
+        ("output_dir", 3),
+        ("alpha", "0.25"),
+        ("kind", 0),
+        ("girko_n", 16.0),
+        ("girko_gate", True),
+        ("mc_reps", 2.5),
+    ]
+
+    @pytest.mark.parametrize("name, value", WRONG_TYPES, ids=[n for n, _ in WRONG_TYPES])
+    def test_config_value_of_the_wrong_type_exits_two(self, name, value, tmp_path, capsys):
+        # the message names the value, and nothing runs or is written
+        out = tmp_path / "out"
+        cfg = json.loads(Path(self._mini_config(
+            tmp_path / "cfg.json", output_dir=str(out),
+            experiments=["local-law", "linstats", "girko-check", "mc-check"])).read_text())
+        *section, key = name.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["ensemble", "grid"])
+    def test_config_section_not_an_object_exits_two(self, section, tmp_path, capsys):
+        cfg = json.loads(Path(self._mini_config(tmp_path / "cfg.json")).read_text())
+        cfg[section] = [cfg[section]]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(tmp_path / "cfg.json")]) == 2
+        assert section in capsys.readouterr().err
 
     def test_bundled_smoke_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,6 +12,7 @@ from ellipticlab import (
     sample,
     save_matrix,
 )
+from ellipticlab.ensemble import _moment_sums
 
 
 def gaussian_spec(n=1000, rho=0.5, mu=1.0, seed=7):
@@ -102,6 +103,41 @@ class TestGaussianMoments:
             m_k = np.mean(xi ** k)
             se = np.std(xi ** k) / np.sqrt(xi.size)
             assert abs(m_k - target) < 5 * se
+
+
+def _masked_moment_sums(matrix):
+    """The moment sums by boolean masks and index pairs, as a reference."""
+    x, n = matrix.entries, matrix.n
+    xo = x[~np.eye(n, dtype=bool)]
+    iu, ju = np.triu_indices(n, k=1)
+    pair = x[iu, ju] * x[ju, iu]
+    conj = x[iu, ju] * np.conj(x[ju, iu])
+    sq = xo ** 2
+    return {
+        "mean": (xo.sum(), np.sum(np.abs(xo) ** 2), xo.size),
+        "var": (np.sum(np.abs(xo) ** 2), np.sum(np.abs(xo) ** 4), xo.size),
+        "cov_pair": (pair.sum(), np.sum(np.abs(pair) ** 2), pair.size),
+        "pseudo_cov": (sq.sum(), np.sum(np.abs(sq) ** 2), sq.size),
+        "conj_cov": (conj.sum(), np.sum(np.abs(conj) ** 2), conj.size),
+    }
+
+
+class TestMomentSums:
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("mu", [1.0, 0.7])
+    def test_match_masked_sums(self, n, mu):
+        matrix = sample(gaussian_spec(n=n, mu=mu, seed=5))
+        got, want = _moment_sums(matrix), _masked_moment_sums(matrix)
+        assert got.keys() == want.keys()
+        for key in want:
+            for g, w in zip(got[key], want[key]):
+                assert abs(g - w) <= 1e-14 * abs(w), (key, g, w)
+
+    def test_one_by_one_unchanged(self):
+        matrix = sample(gaussian_spec(n=1, mu=0.7))
+        got, want = _moment_sums(matrix), _masked_moment_sums(matrix)
+        for key in want:
+            assert [(type(v), v) for v in got[key]] == [(type(v), v) for v in want[key]]
 
 
 class TestRademacher:

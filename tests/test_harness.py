@@ -1,6 +1,8 @@
 """Experiment harness: determinism, envelopes, Girko identity, Monte Carlo."""
 
+import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -108,23 +110,127 @@ class TestThreads:
         for (_, set_), count in zip(controls, saved):
             set_(count)
 
+    @staticmethod
+    def _wrap_setup(monkeypatch, name, wrap):
+        """Replace registry entry `name`'s setup by wrap(its setup)."""
+        exp = harness.EXPERIMENTS[name]
+        monkeypatch.setitem(harness.EXPERIMENTS, name,
+                            dataclasses.replace(exp, setup=wrap(exp.setup)))
+
+    @staticmethod
+    def _wrap_build(monkeypatch, before):
+        """Call before(n, trial) ahead of every TrialContext.build."""
+        build = harness.TrialContext.build
+
+        def wrapped(grid, n, trial, needs):
+            before(n, trial)
+            return build(grid, n, trial, needs)
+        monkeypatch.setattr(harness.TrialContext, "build", wrapped)
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_tasks_run_on_single_threaded_blas(self, blas, threads):
+    def test_tasks_run_on_single_threaded_blas(self, blas, threads, monkeypatch):
         before = [get() for get, _ in blas]
-        seen = harness._run_tasks(lambda _: [get() for get, _ in blas], range(4), threads)
+        seen = []
+        self._wrap_build(monkeypatch, lambda n, trial: seen.append([get() for get, _ in blas]))
+        harness.run_experiments(small_grid(n_values=(32,), trials=4), {"local-law": {}},
+                                threads)
         assert seen == [[1] * len(blas)] * 4
         assert [get() for get, _ in blas] == before
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blas_threads_restored_after_a_task_raises(self, blas, threads):
+    def test_blas_threads_restored_after_a_task_raises(self, blas, threads, monkeypatch):
         before = [get() for get, _ in blas]
 
-        def fail(_):
+        def fail(n, trial):
             raise RuntimeError("trial failed")
 
+        self._wrap_build(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="trial failed"):
-            harness._run_tasks(fail, range(4), threads)
+            harness.run_experiments(small_grid(n_values=(32,), trials=4), {"local-law": {}},
+                                    threads)
         assert [get() for get, _ in blas] == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_setups_run_on_single_threaded_blas(self, blas, threads, monkeypatch):
+        before = [get() for get, _ in blas]
+        seen = []
+
+        def recording(setup):
+            def wrapped(setting):
+                seen.append([get() for get, _ in blas])
+                return setup(setting)
+            return wrapped
+
+        self._wrap_setup(monkeypatch, "error-matrix", recording)
+        harness.run_experiments(small_grid(n_values=(32, 48), trials=2),
+                                {"error-matrix": {}}, threads)
+        assert seen == [[1] * len(blas)] * 2
+        assert [get() for get, _ in blas] == before
+
+    def test_a_failing_setup_stops_the_pool(self, blas, monkeypatch):
+        threads = 2
+        before_blas = [get() for get, _ in blas]
+        before_threads = threading.active_count()
+        error = RuntimeError("setup failed")
+        builds, waited = [], []
+        building = threading.Event()
+
+        def counting(n, trial):
+            builds.append(trial)
+            if len(builds) >= threads:
+                building.set()
+
+        def failing(setup):
+            def wrapped(setting):
+                # fail once every worker has a context, so that the rest must be cancelled
+                waited.append(building.wait(timeout=60))
+                raise error
+            return wrapped
+
+        self._wrap_build(monkeypatch, counting)
+        self._wrap_setup(monkeypatch, "local-law", failing)
+        with pytest.raises(RuntimeError) as info:
+            harness.run_experiments(small_grid(n_values=(64,), trials=6), {"local-law": {}},
+                                    threads)
+        assert info.value is error
+        assert waited == [True]
+        assert len(builds) <= threads
+        assert threading.active_count() == before_threads
+        assert [get() for get, _ in blas] == before_blas
+
+    def test_overlapped_setups_do_not_change_records(self, monkeypatch):
+        grid = small_grid(n_values=(64,), trials=4)
+        # alpha = 0.4 keeps the bump's support inside the bulk at n = 64
+        requests = {"local-law": {}, "iso-law": {}, "ssv-scan": {}, "deloc": {},
+                    "linstats": {"tf": Bump(center=grid.zeta, alpha=0.4)},
+                    "error-matrix": {}}
+        runs = [harness.run_experiments(grid, requests, threads) for threads in (1, 2)]
+        # once more at threads = 2, with every setup done before any task starts
+        setups_left = [len(requests)]
+        setups_done = threading.Event()
+
+        def counted(setup):
+            def wrapped(setting, **options):
+                state = setup(setting, **options)
+                setups_left[0] -= 1
+                if setups_left[0] == 0:
+                    setups_done.set()
+                return state
+            return wrapped
+
+        def wait_for_setups(n, trial):
+            assert setups_done.wait(timeout=60)
+
+        for name in requests:
+            self._wrap_setup(monkeypatch, name, counted)
+        self._wrap_build(monkeypatch, wait_for_setups)
+        runs.append(harness.run_experiments(grid, requests, threads=2))
+        for name in requests:
+            reports = [run[name] for run in runs]
+            # as JSON text: a one-n summary holds NaN slopes
+            outputs = [json.dumps([rep.summary, [r.to_dict() for r in rep.records]])
+                       for rep in reports]
+            assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestAveragedLaw:

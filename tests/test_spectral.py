@@ -281,6 +281,18 @@ class TestErrorMatrix:
         pred = np.block([[k11, k12], [k21, k22]])
         assert np.all(np.abs(emp - pred) <= 5.0 * stderr + 1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_g_blocks_match_the_dense_resolvent(self, n):
+        mat = small_matrix(n=n, seed=5, rho=0.4, mu=0.7)
+        zeta, eta = 0.2 + 0.1j, 0.3
+        dec = decompose(hermitize(mat, zeta))
+        g = dense_resolvent(mat, zeta, eta)
+        dense = [g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]]
+        for block, oracle in zip(_g_blocks(dec, eta), dense):
+            assert np.max(np.abs(block - oracle)) < 1e-12
+        _, g12, g21, _ = _g_blocks(dec, eta)
+        assert np.array_equal(g21, g12.conj().T)
+
     def test_perturbed_equation_consistency(self):
         # D = (H + Z + hat-S[G])G equals 1 + (i eta + Z + hat-S[G])G exactly
         mat = small_matrix(n=10, seed=8, rho=0.4, mu=0.7)
