@@ -737,6 +737,31 @@ _EXCLUSION_RADIUS = 1e-4
 # recurrence in blocks of _HYMAN_ENTRIES // n, whatever n is
 _HYMAN_ENTRIES = 65536
 
+# bound on the growth of the Hyman iterate between two rescalings: far below
+# the float64 overflow (1.8e308), so no row's matvec can overflow
+_HYMAN_GROWTH = 1e150
+
+
+class _HymanBlock:
+    """An irreducible upper Hessenberg block h with the per-row scalars of
+    Hyman's recurrence on it, computed once per block."""
+
+    def __init__(self, h):
+        k = h.shape[0]
+        sub = np.diagonal(h, -1)                    # h_{i,i-1}, i = 1..k-1
+        self.h = h
+        # x_{i-1} = rows[i-1] @ x[i:] + (zeta / h_{i,i-1}) x_i
+        self.rows = [(-h[i, i:] / sub[i - 1]).astype(complex) for i in range(1, k)]
+        self.inv_sub = 1.0 / sub
+        self.abs_sub = np.abs(sub)
+        self.log_sub = np.log(self.abs_sub).tolist()
+        # ||h_{i,i:}||_1, and the whole first row for the residual
+        self.norm1 = np.array([np.abs(h[0]).sum()]
+                              + [np.abs(h[i, i:]).sum() for i in range(1, k)])
+
+    def __len__(self) -> int:
+        return self.h.shape[0]
+
 
 def _hessenberg_blocks(a) -> list:
     """Irreducible diagonal blocks of the upper Hessenberg form of a.
@@ -750,36 +775,68 @@ def _hessenberg_blocks(a) -> list:
 
     h = hessenberg(a)
     cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), h.shape[0]]
-    return [h[lo:hi, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return [_HymanBlock(h[lo:hi, lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _hyman_log_abs_det(hb, zeta, work) -> np.ndarray:
-    """log|det(hb - zeta)| at each node zeta for an irreducible Hessenberg block.
+def _rescale(x, log_scale):
+    """Divide each node's column of x by its largest |entry|; return the new log scale."""
+    top = np.abs(x).max(axis=0)
+    x /= top
+    return log_scale + np.log(top)
 
-    Hyman's method: with x_k = 1, the rows k, ..., 2 of (hb - zeta) x = c e_1
+
+def _hyman_log_abs_det(block: _HymanBlock, zeta, work) -> np.ndarray:
+    """log|det(h - zeta)| at each node zeta for an irreducible Hessenberg block.
+
+    Hyman's method: with x_k = 1, the rows k, ..., 2 of (h - zeta) x = c e_1
     give x_{k-1}, ..., x_1 by back-substitution up the subdiagonal, and
-    |det(hb - zeta)| = |c| prod_i |h_{i+1,i}|.  O(k^2) per node, nodes on
-    the last axis.  Each step rescales x so that its largest entry is 1
-    and adds the log of the scale, so nothing overflows or underflows.
-    Where c is exactly 0 (hb - zeta singular) the value is -inf.  `work`
-    is a complex buffer of at least k * zeta.size entries.
+    |det(h - zeta)| = |c| prod_i |h_{i+1,i}|.  O(k^2) per node, nodes on
+    the last axis.  Row i multiplies max|x| by at most its growth bound
+    g_i = (||h_{i,i:}||_1 + max|zeta|) / |h_{i,i-1}| (at least 1), so x is
+    rescaled, each node's column to a largest entry of 1 with the log of
+    the scale kept, only when the running product of the g_i since the last
+    rescaling would pass 1e150, and again before the residual if it would.
+    A row whose own g_i passes 1e150 takes a guarded step instead: x is
+    scaled by |h_{i,i-1}| / d, d = max(|s|, |h_{i,i-1}|), so that every
+    entry stays <= 1, and log d replaces log|h_{i,i-1}| in the sum.
+    Where c is exactly 0 (h - zeta singular) the value is -inf.  `work` is
+    a complex buffer of at least k * zeta.size entries.
     """
-    k, m = hb.shape[0], zeta.size
+    k, m = len(block), zeta.size
     x = work[:k * m].reshape(k, m)
     x[k - 1] = 1.0
-    log_scale = np.zeros(m)
+    zmax = float(np.abs(zeta).max(initial=0.0))
+    growth = np.maximum((block.norm1[1:] + zmax) / block.abs_sub, 1.0).tolist()
+    zeta_sub = np.multiply.outer(block.inv_sub, zeta)   # zeta / h_{i,i-1}
+    log_scale = 0.0        # per node: rescalings and guarded steps
+    log_sub = 0.0          # log|h_{i,i-1}| of the unguarded rows
+    bound = 1.0            # bound on max|x| since the last rescaling
     for i in range(k - 1, 0, -1):
-        s = hb[i, i:] @ x[i:]
-        s -= zeta * x[i]
-        h = hb[i, i - 1]
-        # x_{i-1} = -s/h; scaling x by |h|/d keeps every entry <= 1
-        d = np.maximum(np.abs(s), abs(h))
-        x[i:] *= abs(h) / d
-        x[i - 1] = s * (-abs(h) / h) / d
-        log_scale += np.log(d)
-    c = hb[0] @ x - zeta * x[0]
+        g = growth[i - 1]
+        if bound * g > _HYMAN_GROWTH and bound > 1.0:
+            log_scale = _rescale(x[i:], log_scale)
+            bound = 1.0
+        if g > _HYMAN_GROWTH:
+            s = block.h[i, i:] @ x[i:]
+            s -= zeta * x[i]
+            h = block.h[i, i - 1]
+            d = np.maximum(np.abs(s), abs(h))
+            x[i:] *= abs(h) / d
+            x[i - 1] = s * (-abs(h) / h) / d
+            log_scale = log_scale + np.log(d)
+        else:
+            np.matmul(block.rows[i - 1], x[i:], out=x[i - 1])
+            term = zeta_sub[i - 1]
+            term *= x[i]
+            x[i - 1] += term
+            log_sub += block.log_sub[i - 1]
+            bound *= g
+    if bound * (block.norm1[0] + zmax) > _HYMAN_GROWTH and bound > 1.0:
+        log_scale = _rescale(x, log_scale)
+    c = block.h[0] @ x
+    c -= zeta * x[0]
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(c)) + log_scale
+        return np.log(np.abs(c)) + log_scale + log_sub
 
 
 def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
@@ -791,8 +848,11 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     method on each irreducible block of H in O(n^2) per node.  So the right
     side shares its first step, the Hessenberg reduction, with LAPACK's
     `eigvals` on the left; the tests keep `slogdet` (LU) as an independent
-    oracle for the determinants.  A log-singularity exclusion of radius
-    1e-4 around each eigenvalue is patched analytically.
+    oracle for the determinants.  Only the nodes where Delta f is nonzero
+    go to the determinant: elsewhere (off the bump's support, such as the
+    box's corners) the value is exactly 0, as 0 times any finite log|det|.
+    A log-singularity exclusion of radius 1e-4 around each eigenvalue is
+    patched analytically.
     Where a block's residual is exactly 0 at a node (X - zeta singular),
     the node's value is the sum of the logs of the singular values of
     X - zeta, the zero ones floored at 1e-300.
@@ -812,9 +872,13 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     work = np.empty(n * chunk, dtype=complex)
 
     def integrand(pts):
-        out = np.empty(pts.size)
-        for start in range(0, pts.size, chunk):
-            nodes = pts[start:start + chunk]
+        lap = np.real(tf.laplacian(pts))
+        # off the bump's support Delta f is exactly 0, and so is the value
+        support = np.flatnonzero(lap)
+        out = np.zeros(pts.size)
+        for start in range(0, support.size, chunk):
+            at = support[start:start + chunk]
+            nodes = pts[at]
             logdet = sum(_hyman_log_abs_det(hb, nodes, work) for hb in blocks)
             singular = np.isneginf(logdet)
             if singular.any():
@@ -830,8 +894,8 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
             if close.any():
                 patch = np.where(close, np.log(r0 / np.maximum(dist, 1e-300)), 0.0)
                 logdet = logdet + patch.sum(axis=1)
-            out[start:start + chunk] = logdet
-        return np.real(tf.laplacian(pts)) * out / (2.0 * np.pi * n)
+            out[at] = logdet
+        return lap * out / (2.0 * np.pi * n)
 
     c, r = tf.center, tf.radius
     box = (c.real - r, c.real + r, c.imag - r, c.imag + r)

@@ -183,3 +183,15 @@ class TestQuad2d:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad2d(lambda p: np.ones_like(p.real), (0, 0, 0, 1), tol=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_not_positive_finite_rejected(self, tol):
+        # refining toward such a tol would run until the cell budget is gone
+        calls = []
+
+        def func(p):
+            calls.append(p.size)
+            return np.ones_like(p.real)
+        with pytest.raises(ValueError, match="tol"):
+            adaptive_quad2d(func, (0.0, 1.0, 0.0, 1.0), tol=tol, max_cells=20000)
+        assert calls == []

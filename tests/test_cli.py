@@ -243,6 +243,11 @@ class TestExperiments:
         assert rc == 0
         assert out["discrepancy"] <= 1e-3
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_girko_check_bad_quad_tol_exits_two(self, tol, capsys):
+        assert main(["girko-check", "--n", "12", f"--quad-tol={tol}"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestExperimentConfig:
     def test_missing_config_exits_two(self, tmp_path):

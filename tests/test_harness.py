@@ -495,6 +495,18 @@ def _assert_matches_slogdet(a, nodes):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+def _count_rescales(monkeypatch) -> list:
+    """Record each call of the Hyman rescaling in the returned list."""
+    calls = []
+    rescale = harness._rescale
+
+    def counted(x, log_scale):
+        calls.append(x.shape)
+        return rescale(x, log_scale)
+    monkeypatch.setattr(harness, "_rescale", counted)
+    return calls
+
+
 class TestHymanLogDet:
     """Hessenberg + Hyman log|det(X - zeta)| against LU (slogdet)."""
 
@@ -525,6 +537,29 @@ class TestHymanLogDet:
         assert [len(hb) for hb in blocks] == [5, 1, 10]
         _assert_matches_slogdet(a, _random_nodes(40, 9))
 
+    def test_every_subdiagonal_entry_tiny(self, monkeypatch):
+        # 15 entries of 1e-30 put 1e450 into x without a rescaling; each row's
+        # growth bound (about 1e30) stays below 1e150, so rows take the plain
+        # step and the running product triggers the rescalings
+        rescales = _count_rescales(monkeypatch)
+        a = np.triu(_random_matrix(16, 12), -1)
+        rows = np.arange(1, 16)
+        a[rows, rows - 1] = 1e-30
+        _assert_matches_slogdet(a, _random_nodes(40, 13))
+        assert rescales
+
+    def test_far_nodes(self, monkeypatch):
+        # |zeta| = 1e4 makes each row's growth bound about 1e4 / |h_{i,i-1}|
+        rescales = _count_rescales(monkeypatch)
+        rng = np.random.default_rng(15)
+        nodes = 1e4 * np.exp(2j * np.pi * rng.uniform(size=40))
+        _assert_matches_slogdet(_random_matrix(64, 14), nodes)
+        assert rescales
+
+    def test_no_nodes(self):
+        got = _hyman_log_abs_det(_random_matrix(16, 16), np.empty(0, dtype=complex))
+        assert got.shape == (0,)
+
     def test_node_on_an_eigenvalue(self):
         # triangular X keeps its diagonal through the reduction, so the
         # residual is exactly 0 where a node equals a diagonal entry
@@ -535,6 +570,94 @@ class TestHymanLogDet:
         assert np.all(np.isneginf(got[:2])) and np.all(np.asarray(sign)[:2] == 0)
         ref = np.asarray(ref)[2:]
         assert np.all(np.abs(got[2:] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _every_node_discrepancy(x, tf, quad_tol):
+    """girko_consistency with log|det(X - zeta)| at every node, zero Laplacian or not."""
+    a = x.entries
+    n = a.shape[0]
+    eigs = np.linalg.eigvals(a)
+    r0 = harness._EXCLUSION_RADIUS
+
+    def integrand(pts):
+        logdet = _hyman_log_abs_det(a, pts)
+        assert np.all(np.isfinite(logdet))
+        dist = np.abs(pts[:, None] - eigs[None, :])
+        logdet += np.where(dist < r0, np.log(r0 / np.maximum(dist, 1e-300)), 0.0).sum(axis=1)
+        return np.real(tf.laplacian(pts)) * logdet / (2.0 * np.pi * n)
+
+    c, r = tf.center, tf.radius
+    val, _ = adaptive_quad2d(integrand, (c.real - r, c.real + r, c.imag - r, c.imag + r),
+                             tol=quad_tol, max_depth=14)
+    inside = np.abs(eigs - c) <= r + r0
+    correction = -(r0 ** 2 / (4.0 * n)) * np.sum(np.real(tf.laplacian(eigs[inside])))
+    return abs(np.mean(np.real(tf.f(eigs))) - (val + correction))
+
+
+class TestGirkoSupport:
+    """The determinant kernel gets only the nodes where Delta f is nonzero."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """run(kind) checks criterion 13's trial 0 with a bump of that kind and
+        returns (tf, matrix, discrepancy, levels, integrand, seen): `seen`
+        holds the nodes of every kernel call, `levels` each integrand call's
+        points with the nodes of its kernel calls, and `integrand` is the
+        function girko_consistency handed to adaptive_quad2d."""
+        seen = []
+        kernel = harness._hyman_log_abs_det
+
+        def spy_kernel(block, zeta, work):
+            seen.append(zeta.copy())
+            return kernel(block, zeta, work)
+
+        levels, captured = [], []
+        quad = harness.adaptive_quad2d
+
+        def spy_quad(func, box, **kw):
+            def level(pts):
+                first = len(seen)
+                vals = func(pts)
+                levels.append((pts.copy(), seen[first:]))
+                return vals
+            captured.append(level)
+            return quad(level, box, **kw)
+
+        monkeypatch.setattr(harness, "_hyman_log_abs_det", spy_kernel)
+        monkeypatch.setattr(harness, "adaptive_quad2d", spy_quad)
+
+        def run(kind):
+            tf = Bump(kind=kind, center=0.0, radius=0.6)
+            mat = sample(EnsembleSpec(n=16, rho=0.5, seed=6), 0)
+            disc = girko_consistency(mat, tf, quad_tol=2e-4)
+            return tf, mat, disc, levels, captured[0], seen
+        return run
+
+    @pytest.mark.parametrize("kind", ["polynomial-bump", "gaussian-bump"])
+    def test_kernel_gets_only_support_nodes(self, spied, kind):
+        tf, _, _, levels, _, seen = spied(kind)
+        assert np.all(tf.laplacian(np.concatenate(seen)) != 0)
+        skipped = 0
+        for pts, got in levels:
+            support = pts[tf.laplacian(pts) != 0]
+            skipped += pts.size - support.size
+            assert set(np.concatenate(got).tolist() if got else []) == set(support.tolist())
+        assert skipped > 0
+
+    @pytest.mark.parametrize("kind", ["polynomial-bump", "gaussian-bump"])
+    def test_level_off_the_support_makes_no_kernel_call(self, spied, kind):
+        tf, _, _, _, integrand, seen = spied(kind)
+        calls = len(seen)
+        # points of the box's edges outside the support disk, corners included
+        off = np.array([0.6 + 0.6j, -0.6 - 0.6j, 0.59 - 0.6j, -0.6 + 0.45j])
+        assert np.all(tf.laplacian(off) == 0)
+        assert np.array_equal(integrand(off), np.zeros(off.size))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("kind", ["polynomial-bump", "gaussian-bump"])
+    def test_matches_every_node_integrand(self, spied, kind):
+        tf, mat, disc, _, _, _ = spied(kind)
+        assert disc == pytest.approx(_every_node_discrepancy(mat, tf, 2e-4), abs=1e-14)
 
 
 class TestMonteCarlo:
