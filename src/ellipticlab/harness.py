@@ -8,16 +8,17 @@ ExperimentReport whose records are reproducible functions of
 The sample-based experiments are the entries of one registry,
 `EXPERIMENTS`.  An entry declares up front which factorizations of a
 sampled X it reads (`eig`, `eigvals`, the SVD of X - zeta with or without
-vectors), builds what the trials at one n share (the Dyson solution, probes,
-test matrices, density integrals) once per n, turns one `TrialContext` into
-records, and summarizes its records.  `run_experiments` runs any set of
-entries over one pool of (n, trial) tasks.  Each task samples X once and
-factors it once for the union of the needs (`eig` covers `eigvals`, the SVD
-with vectors covers the one without), every entry reads that context, and
-the context is dropped when the task ends.  Sampling and factoring read no
-per-n state, so with a pool the calling thread builds that state while the
-workers sample and factor.  The public experiment functions are
-single-entry calls of `run_experiments`.
+vectors, the one-eta resolvent), builds what the trials at one n share
+(the Dyson solution, probes, test matrices, density integrals) once per n,
+turns one `TrialContext` into records, and summarizes its records.
+`run_experiments` runs any set of entries over one pool of (n, trial)
+tasks; each samples X and factors it once, in `TrialContext.build`, for
+the union of the needs (`eig` covers `eigvals`, the SVD with vectors the
+one without), every entry reads that context, and it is dropped when the
+task ends.  Sampling and factoring read no per-n state, so the calling
+thread builds that state while the workers sample and factor.  Every
+public experiment function, `density_map` included, is a single-entry
+call of `run_experiments`.
 
 A sampled X whose entries are all real (the default mu = 1) is
 eigendecomposed by LAPACK's real driver, and deloc's residual X V is a real
@@ -25,12 +26,12 @@ product; the eigenvalues and eigenvectors are complex128 either way.  The
 error-matrix experiment forms no 2n x 2n test matrix: its block tests are
 traced from D's four n x n block traces.
 
-The `threads` argument sets how many tasks run at once; while they and the
-per-n setups run, the OpenBLAS libraries bundled with numpy and scipy are
-held at one thread each, so there is one level of parallelism and every
-task does the same arithmetic whatever `threads` is.  Records are merged in
-(n, zeta, eta, trial) lexicographic order, so thread counts never change
-the output.
+The `threads` argument (at least 1) is the size of the one pool the tasks
+run in; while they and the per-n setups run, the OpenBLAS libraries
+bundled with numpy and scipy are held at one thread each, so there is one
+level of parallelism and every task does the same arithmetic whatever
+`threads` is.  Records are merged in (n, zeta, eta, trial) lexicographic
+order, so thread counts never change the output.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ class ExperimentGrid:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        # EnsembleSpec checks each n and the law's parameters
+        if len({self.ensemble_spec(n) for n in self.n_values}) < len(self.n_values):
+            raise ValueError(f"n_values must not repeat, got {list(self.n_values)}")
         region = EllipseRegion(self.rho, self.delta)
         if not bool(region.contains(self.zeta)):
             raise ValueError(
@@ -288,7 +292,8 @@ class TrialContext:
 
     `eigenvalues` are X's, from `eig` (with `eigenvectors`) when an
     experiment needs the vectors and from `eigvals` otherwise; `dec` is the
-    SVD of X - zeta, with vectors when an experiment needs them.  What no
+    SVD of X - zeta, with vectors when an experiment needs them; `solver`
+    applies and traces G at (zeta, eta) from one n x n inverse.  What no
     experiment needs stays None.
     """
 
@@ -300,6 +305,7 @@ class TrialContext:
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     dec: SpectralDecomposition | None = None
+    solver: ResolventSolver | None = None
 
     @classmethod
     def build(cls, grid: ExperimentGrid, n: int, trial: int, needs) -> "TrialContext":
@@ -311,6 +317,8 @@ class TrialContext:
             ctx.eigenvalues = _eig(x.entries, vectors=False)
         if needs & {"svd", "svdvals"}:
             ctx.dec = decompose(hermitize(x, grid.zeta), compute_vectors="svd" in needs)
+        if "resolvent" in needs:
+            ctx.solver = ResolventSolver(x.entries, grid.zeta, ctx.eta)
         return ctx
 
 
@@ -334,7 +342,8 @@ class Experiment:
     """A registry entry: one sample-based experiment in four parts.
 
     needs      what `observe` reads from a TrialContext: "eig", "eigvals",
-               "svd" (of X - zeta, with vectors) or "svdvals";
+               "svd" (of X - zeta, with vectors), "svdvals" or
+               "resolvent" (the solver at the trial's zeta and eta);
     setup      (setting, **options) -> the state every trial at one n shares;
     observe    (ctx, state) -> the records of one trial;
     summarize  (records, grid, state) -> the experiment's result, with the
@@ -381,29 +390,22 @@ def _local_law_summary(records, grid, _state):
 
 
 def _iso_law_setup(setting, n_pairs=20):
-    probes = [p for _, p in default_probes(2 * setting.n, seed=setting.grid.seed, k=2)]
-    pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))
-             if i <= j][:n_pairs]
-    return setting.dyson, probes, pairs
+    # the probes are the columns of one 2n x k block; pairs (i <= j) in row-major order
+    probes = np.stack([p for _, p in default_probes(2 * setting.n, seed=setting.grid.seed,
+                                                    k=2)], axis=1)
+    rows, cols = np.triu_indices(probes.shape[1])
+    return setting.dyson, probes, (rows[:n_pairs], cols[:n_pairs])
 
 
 def _iso_law_observe(ctx, state):
     (v, b), probes, pairs = state
-    n, eta = ctx.n, ctx.eta
+    n, eta, solver = ctx.n, ctx.eta, ctx.solver
     m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
-    solver = ResolventSolver(ctx.x.entries, ctx.zeta, eta)
-    gy = {}
-    worst = 0.0
-    for i, j in pairs:
-        xp, yp = probes[i], probes[j]
-        if j not in gy:
-            gy[j] = solver.apply(probes[j])
-        gxy = np.vdot(xp, gy[j])
-        x1, x2 = xp[:n], xp[n:]
-        y1, y2 = yp[:n], yp[n:]
-        mxy = (1j * v * np.vdot(xp, yp) + np.conj(b) * np.vdot(x1, y2)
-               + b * np.vdot(x2, y1))
-        worst = max(worst, abs(gxy - mxy))
+    ph = probes.conj().T        # <x, G y> and <x, (m2 (x) I) y> for all probes x, y
+    cross = ph[:, :n] @ probes[n:]
+    pgp = ph @ solver.apply(probes)
+    pmp = 1j * v * (ph @ probes) + np.conj(b) * cross + b * cross.conj().T
+    worst = float(np.abs(pgp - pmp)[pairs].max(initial=0.0))
     envelope = n ** EPSILON_EXPONENT / np.sqrt(n * eta)
     ul = solver.partial_traces()
     avg_err = abs(solver.avg_trace() - 1j * v)
@@ -412,7 +414,7 @@ def _iso_law_observe(ctx, state):
     consistent = avg_err <= 2.0 * worst + env_avg
     return [ExperimentRecord(
         experiment="isotropic_local_law", n=n, trial=ctx.trial, zeta=ctx.zeta,
-        eta=eta, observed=float(worst), envelope=float(envelope),
+        eta=eta, observed=worst, envelope=float(envelope),
         passed=worst <= MEDIAN_CONSTANT * envelope,
         extras={"avg_err": float(avg_err), "avg_op_err": float(avg_op_err),
                 "env_avg": float(env_avg), "trace_consistent": bool(consistent)})]
@@ -594,7 +596,8 @@ def _error_matrix_summary(records, grid, _state):
 EXPERIMENTS = {
     "local-law": Experiment(frozenset({"svdvals"}), lambda setting: setting.dyson[0],
                             _local_law_observe, _local_law_summary),
-    "iso-law": Experiment(frozenset(), _iso_law_setup, _iso_law_observe, _iso_law_summary),
+    "iso-law": Experiment(frozenset({"resolvent"}), _iso_law_setup, _iso_law_observe,
+                          _iso_law_summary),
     "ssv-scan": Experiment(frozenset({"svdvals"}), _ssv_setup, _ssv_observe, _ssv_summary),
     "deloc": Experiment(frozenset({"eig"}), _deloc_setup, _deloc_observe, _deloc_summary,
                         single_n=True),
@@ -603,9 +606,11 @@ EXPERIMENTS = {
     "error-matrix": Experiment(frozenset({"svd"}), _error_matrix_setup,
                                _error_matrix_observe, _error_matrix_summary),
     # one DensityMap of trial 0, which is its own summary
-    "density": Experiment(frozenset({"eigvals"}), lambda setting: setting.spec,
-                          lambda ctx, spec: [_density_from_eigenvalues(ctx.eigenvalues, spec)],
-                          lambda maps, grid, spec: maps[0],
+    "density": Experiment(frozenset({"eigvals"}),
+                          lambda setting, grid_resolution=101: (setting.spec, grid_resolution),
+                          lambda ctx, state: [
+                              _density_from_eigenvalues(ctx.eigenvalues, *state)],
+                          lambda maps, grid, state: maps[0],
                           single_n=True, first_trial_only=True),
 }
 
@@ -616,16 +621,17 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     `requests` maps `EXPERIMENTS` names to the options of each one's
     setup.  Each (n, trial) task samples X once, factors it once for the
     union of the needs of the experiments observing that trial, and passes
-    the context to each of them.  With `threads` >= 2 the tasks go to the
-    pool first, and the calling thread runs the per-n setups while the
+    the context to each of them.  The tasks go to a pool of `threads` >= 1
+    workers first, and the calling thread runs the per-n setups while the
     workers sample and factor; a task waits for its n's setup only before
-    its first `observe`.  With `threads` = 1 every setup runs before any
-    trial.  A setup that raises raises from this call once the tasks not
-    yet started are cancelled and those waiting for a setup released, so
-    no trial starts after the failure.  Everything, setups and summaries
-    included, runs on single-threaded BLAS.  Returns each experiment's
-    result (a report; a DensityMap for "density") by name.
+    its first `observe`.  A setup that raises raises from this call once
+    the tasks not yet started are cancelled and those waiting for a setup
+    released, so no trial starts after the failure.  Everything, setups and
+    summaries included, runs on single-threaded BLAS.  Returns each
+    experiment's result (a report; a DensityMap for "density") by name.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     chosen = {name: EXPERIMENTS[name] for name in requests}
     single = [name for name, exp in chosen.items() if exp.single_n]
     if single and len(grid.n_values) > 1:
@@ -634,11 +640,6 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     settings = {n: _Setting(grid, n) for n in grid.n_values}
     # each n's setup result, {name: state}, which tasks wait for after sampling
     states = {n: Future() for n in settings}
-
-    def setup_all():
-        for n, setting in settings.items():
-            states[n].set_result({name: exp.setup(setting, **requests[name])
-                                  for name, exp in chosen.items()})
 
     def observers(trial):
         return [name for name, exp in chosen.items()
@@ -654,28 +655,32 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
                 for rec in chosen[name].observe(ctx, state[name])]
 
     tasks = [(n, t) for n in grid.n_values for t in range(grid.trials) if observers(t)]
-    # threads == 1 is pinned too: a multithreaded BLAS may round differently,
-    # and records must not depend on `threads`
-    with _SINGLE_THREADED_BLAS:
-        if threads <= 1:
-            setup_all()
-            batches = [run(key) for key in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pending = [pool.submit(run, key) for key in tasks]
-                try:
-                    setup_all()
-                    batches = [task.result() for task in pending]
-                finally:
-                    # after a failure: first drop the tasks not started, then
-                    # release those waiting for a setup, so none starts anew
-                    for f in [*pending, *states.values()]:
-                        f.cancel()
+    # a multithreaded BLAS may round differently, and records must not depend
+    # on `threads`
+    with _SINGLE_THREADED_BLAS, ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = [pool.submit(run, key) for key in tasks]
+        try:
+            for n, setting in settings.items():
+                states[n].set_result({name: exp.setup(setting, **requests[name])
+                                      for name, exp in chosen.items()})
+            batches = [task.result() for task in pending]
+        finally:
+            # after a failure: first drop the tasks not started, then
+            # release those waiting for a setup, so none starts anew
+            for f in [*pending, *states.values()]:
+                f.cancel()
         observed = [pair for batch in batches for pair in batch]
         first = states[grid.n_values[0]].result()
         return {name: exp.summarize([rec for key, rec in observed if key == name], grid,
                                     first[name])
                 for name, exp in chosen.items()}
+
+
+def _spec_grid(spec: EnsembleSpec, trials: int = 1, delta: float = 0.0) -> ExperimentGrid:
+    # deloc and density read neither zeta nor eta; zeta = 0 lies in every bulk region
+    return ExperimentGrid(n_values=(spec.n,), zeta=0j, eta_rule=EtaRule(0.5),
+                          trials=trials, delta=delta, seed=spec.seed, rho=spec.rho,
+                          mu=spec.mu, base=spec.base)
 
 
 def averaged_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
@@ -692,10 +697,7 @@ def isotropic_local_law(grid: ExperimentGrid, n_pairs: int = 20,
 def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
                         trials: int = 10, threads: int = 1) -> ExperimentReport:
     """sqrt(n) * max bulk eigenvector overlap per probe, against 10 sqrt(log n)."""
-    # deloc reads neither zeta nor eta; zeta = 0 lies in every bulk region
-    grid = ExperimentGrid(n_values=(spec.n,), zeta=0j, eta_rule=EtaRule(0.5),
-                          trials=trials, delta=delta, seed=spec.seed, rho=spec.rho,
-                          mu=spec.mu, base=spec.base)
+    grid = _spec_grid(spec, trials, delta)
     return run_experiments(grid, {"deloc": {"w_probes": w_probes}}, threads)["deloc"]
 
 
@@ -952,8 +954,7 @@ class DensityMap:
                              f"{float(self.sigma[i, j])!r}\n")
 
 
-def _density_from_eigenvalues(eigs, spec: EnsembleSpec,
-                              grid_resolution: int = 101) -> DensityMap:
+def _density_from_eigenvalues(eigs, spec: EnsembleSpec, grid_resolution: int) -> DensityMap:
     """The histogram grid spans the ellipse's bounding box plus a 0.3 margin."""
     region = EllipseRegion(spec.rho)
     ax, ay = region.semi_axes
@@ -973,8 +974,8 @@ def _density_from_eigenvalues(eigs, spec: EnsembleSpec,
 
 def density_map(spec: EnsembleSpec, grid_resolution: int = 101) -> DensityMap:
     """Eigenvalue histogram of trial 0 against the ellipse density."""
-    eigs = _eig(sample(spec, 0).entries, vectors=False)
-    return _density_from_eigenvalues(eigs, spec, grid_resolution)
+    request = {"density": {"grid_resolution": grid_resolution}}
+    return run_experiments(_spec_grid(spec), request)["density"]
 
 
 def dump_eigenvalues(path, dec_list) -> None:

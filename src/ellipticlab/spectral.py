@@ -372,6 +372,7 @@ class ResolventSolver:
         self.w = np.linalg.inv(gram)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
+        """G y for a 2n vector y, or G Y for a 2n x k block Y, column by column."""
         n, eta = self.n, self.eta
         y = np.asarray(y, dtype=complex)
         y1, y2 = y[:n], y[n:]

@@ -97,6 +97,17 @@ class TestParsing:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [["0"], ["16", "0"], ["16", "16"]],
+                             ids=["zero", "zero-second", "repeated"])
+    def test_bad_n_values_exit_two(self, n, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["local-law", "--n", *n, "--trials", "1", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert ("n must be" in captured.err or "must not repeat" in captured.err)
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_mc_check_reps_below_one_rejected(self, reps, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -390,6 +401,19 @@ class TestExperimentConfig:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_values", [[16, 0], [0], [16, 16]],
+                             ids=["zero-second", "zero", "repeated"])
+    def test_bad_n_values_exit_two(self, n_values, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._mini_config(tmp_path / "cfg.json", output_dir=str(out),
+                                grid={"n_values": n_values, "zeta": "0.3+0.2i", "trials": 1})
+        assert main(["experiment", cfg]) == 2
+        captured = capsys.readouterr()
+        assert ("n must be" in captured.err or "must not repeat" in captured.err)
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("section", ["ensemble", "grid"])
     def test_config_section_not_an_object_exits_two(self, section, tmp_path, capsys):
         cfg = json.loads(Path(self._mini_config(tmp_path / "cfg.json")).read_text())
@@ -479,7 +503,7 @@ class TestSharedTrialContexts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"sample": [], "eig": [], "eigvals": [], "svd": []}
+        seen = {"sample": [], "eig": [], "eigvals": [], "svd": [], "inv": []}
 
         def counted(name, fn, key=lambda *a, **k: None):
             def wrapper(*args, **kwargs):
@@ -495,6 +519,7 @@ class TestSharedTrialContexts:
             "eigvals", np.linalg.eigvals, lambda a: a.dtype))
         monkeypatch.setattr(np.linalg, "svd", counted(
             "svd", np.linalg.svd, lambda a, full_matrices=True, compute_uv=True, **_: compute_uv))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv, lambda a: a.shape))
         return seen
 
     @pytest.mark.parametrize("n", [64, 128])
@@ -506,6 +531,8 @@ class TestSharedTrialContexts:
         assert calls["eigvals"] == []
         # one SVD of X - zeta, with vectors, serves local-law, ssv-scan and error-matrix
         assert calls["svd"] == [True] * 3
+        # and one n x n inverse, iso-law's resolvent solver
+        assert calls["inv"] == [(n, n)] * 3
         assert len(list(out.glob("*.jsonl"))) == len(POOLED)
 
     def test_density_samples_trial_zero_only(self, calls, tmp_path):

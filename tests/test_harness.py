@@ -22,12 +22,15 @@ from ellipticlab import (
     monte_carlo_estimate,
     sample,
     small_singular_scan,
+    solve_dyson_grid,
 )
 from ellipticlab import TestFunction as Bump
 from ellipticlab import harness
 from ellipticlab.harness import dump_eigenvalues, dump_functionals
 from ellipticlab.spectral import (
+    BLOCK_TESTS,
     decompose,
+    default_probes,
     default_test_matrices,
     error_matrix_norms,
     hermitize,
@@ -59,6 +62,16 @@ class TestGridValidation:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             small_grid(trials=0)
+
+    @pytest.mark.parametrize("n_values", [(0,), (16, 0), (-4,), (16, 10 ** 6)])
+    def test_n_values_within_the_ensemble_bounds(self, n_values):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            small_grid(n_values=n_values)
+
+    @pytest.mark.parametrize("n_values", [(16, 16), (16, 32, 16)])
+    def test_n_values_do_not_repeat(self, n_values):
+        with pytest.raises(ValueError, match="n_values must not repeat"):
+            small_grid(n_values=n_values)
 
 
 # the experiments that run their trials through the pool, called as the CLI calls them
@@ -167,8 +180,8 @@ class TestThreads:
         assert seen == [[1] * len(blas)] * 2
         assert [get() for get, _ in blas] == before
 
-    def test_a_failing_setup_stops_the_pool(self, blas, monkeypatch):
-        threads = 2
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failing_setup_stops_the_pool(self, blas, threads, monkeypatch):
         before_blas = [get() for get, _ in blas]
         before_threads = threading.active_count()
         error = RuntimeError("setup failed")
@@ -197,6 +210,15 @@ class TestThreads:
         assert len(builds) <= threads
         assert threading.active_count() == before_threads
         assert [get() for get, _ in blas] == before_blas
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_raise_before_any_sample(self, threads, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(harness, "sample", lambda spec, trial=0: sampled.append(trial))
+        with pytest.raises(ValueError, match="threads"):
+            harness.run_experiments(small_grid(n_values=(32,), trials=2),
+                                    {"local-law": {}}, threads)
+        assert sampled == []
 
     def test_overlapped_setups_do_not_change_records(self, monkeypatch):
         grid = small_grid(n_values=(64,), trials=4)
@@ -283,6 +305,38 @@ class TestIsotropicLaw:
         a = isotropic_local_law(small_grid(n_values=(64,), trials=2))
         b = isotropic_local_law(small_grid(n_values=(64,), trials=2), threads=2)
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_values_match_dense_inverse(self, n):
+        # <x, (G - M) y> over the same 20 probe pairs, <G> and the block
+        # traces, from a dense inverse of the 2n x 2n Hermitization
+        grid = small_grid(n_values=(n,), trials=2, seed=5)
+        eta = grid.eta_rule.eta(n)
+        v, b, _, _ = solve_dyson_grid(grid.zeta, eta, grid.rho)
+        v, b = float(v), complex(b)
+        m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
+        probes = np.stack([p for _, p in default_probes(2 * n, seed=grid.seed, k=2)], axis=1)
+        pairs = [(i, j) for i in range(6) for j in range(6) if i <= j][:20]
+        report = isotropic_local_law(grid, n_pairs=20)
+        assert [r.trial for r in report.records] == [0, 1]
+        for rec in report.records:
+            a = sample(grid.ensemble_spec(n), rec.trial).entries - grid.zeta * np.eye(n)
+            zero = np.zeros((n, n))
+            h = np.block([[zero, a], [a.conj().T, zero]])
+            g = np.linalg.inv(h - 1j * eta * np.eye(2 * n))
+            d = probes.conj().T @ (g - np.kron(m2, np.eye(n))) @ probes
+            blocks = np.array([[np.trace(g[:n, :n]), np.trace(g[:n, n:])],
+                               [np.trace(g[n:, :n]), np.trace(g[n:, n:])]]) / n
+            want = {
+                "observed": max(abs(d[i, j]) for i, j in pairs),
+                "avg_err": abs(np.trace(g) / (2 * n) - 1j * v),
+                "avg_op_err": max(abs(np.trace(c @ (blocks - m2))) / 2.0
+                                  for c in BLOCK_TESTS.values()),
+            }
+            got = {"observed": rec.observed, "avg_err": rec.extras["avg_err"],
+                   "avg_op_err": rec.extras["avg_op_err"]}
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-10, abs=0), (n, key)
 
 
 class TestDelocalisation:

@@ -232,6 +232,17 @@ class TestResolventSolver:
         y = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         assert np.max(np.abs(solver.apply(y) - g @ y)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_apply_on_a_block_matches_columns(self, n):
+        mat = small_matrix(n=n, seed=11)
+        solver = ResolventSolver(mat.entries, 0.3 + 0.2j, 0.05)
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((2 * n, 5)) + 1j * rng.standard_normal((2 * n, 5))
+        block = solver.apply(y)
+        columns = np.stack([solver.apply(y[:, j]) for j in range(5)], axis=1)
+        assert block.shape == (2 * n, 5)
+        assert np.max(np.abs(block - columns)) <= 1e-12 * np.max(np.abs(columns))
+
     def test_traces_match_decomposition(self):
         mat = small_matrix(n=20, seed=7)
         zeta, eta = -0.2 + 0.1j, 0.08
