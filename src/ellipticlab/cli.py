@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="CSV field of the ellipse density")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--resolution", type=int, default=101)
+    p.add_argument("--resolution", type=_positive_int, default=101)
     p.add_argument("--out", default=None)
     _add_output(p, report=False)
     p.set_defaults(func=cmd_density)
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--zeta", type=parse_complex, nargs="+", required=True)
     p.add_argument("--eta", type=float, nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--prefix", default="spectrum")
     _add_output(p, report=False)
     _add_seed(p)

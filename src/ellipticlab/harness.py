@@ -7,15 +7,17 @@ ExperimentReport whose records are reproducible functions of
 
 The sample-based experiments are the entries of one registry,
 `EXPERIMENTS`.  An entry declares up front which factorizations of a
-sampled X it reads (`eig`, `eigvals`, the SVD of X - zeta with or without
-vectors, the one-eta resolvent), builds what the trials at one n share
-(the Dyson solution, probes, test matrices, density integrals) once per n,
-turns one `TrialContext` into records, and summarizes its records.
-`run_experiments` runs any set of entries over one pool of (n, trial)
-tasks; each samples X and factors it once, in `TrialContext.build`, for
-the union of the needs (`eig` covers `eigvals`, the SVD with vectors the
-one without), every entry reads that context, and it is dropped when the
-task ends.  Sampling and factoring read no per-n state, so the calling
+sampled X it reads (`eig`, `eigvals`, the singular values of X - zeta, the
+one-eta resolvent G, with or without its four n x n blocks), builds what
+the trials at one n share (the Dyson solution, probes, test matrices,
+density integrals) once per n, turns one `TrialContext` into records, and
+summarizes its records.  `run_experiments` runs any set of entries over
+one pool of (n, trial) tasks; each samples X and factors it once, in
+`TrialContext.build`, for the union of the needs (`eig` covers `eigvals`),
+every entry reads that context, and it is dropped when the task ends.  G
+at the trial's (zeta, eta) has one engine, the context's `ResolventSolver`,
+which the local laws and the error matrix read; no task computes singular
+vectors.  Sampling and factoring read no per-n state, so the calling
 thread builds that state while the workers sample and factor.  Every
 public experiment function, `density_map` included, is a single-entry
 call of `run_experiments`.
@@ -62,7 +64,6 @@ from .spectral import (
     default_test_matrices,
     error_matrix_norms,
     hermitize,
-    resolvent_trace,
     small_singular_count,
     smallest_singular_value,
 )
@@ -237,12 +238,6 @@ class _SingleThreadedBlas:
 _SINGLE_THREADED_BLAS = _SingleThreadedBlas()
 
 
-def _loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def _median_by_n(records, n_values):
     return {n: float(np.median([r.observed for r in records if r.n == n]))
             for n in n_values}
@@ -252,7 +247,8 @@ def _median_slope(xs, medians, n_values) -> float:
     """Log-log slope of the per-n medians against xs, one x per n; nan for one n."""
     if len(n_values) < 2:
         return float("nan")
-    return _loglog_slope(xs, [medians[n] for n in n_values])
+    ys = [medians[n] for n in n_values]
+    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)[0])
 
 
 def _grid_params(grid: ExperimentGrid) -> dict:
@@ -291,10 +287,10 @@ class TrialContext:
     """One sampled X at (n, trial) and its factorizations, each computed once.
 
     `eigenvalues` are X's, from `eig` (with `eigenvectors`) when an
-    experiment needs the vectors and from `eigvals` otherwise; `dec` is the
-    SVD of X - zeta, with vectors when an experiment needs them; `solver`
-    applies and traces G at (zeta, eta) from one n x n inverse.  What no
-    experiment needs stays None.
+    experiment needs the vectors and from `eigvals` otherwise; `dec` holds
+    the singular values of X - zeta; `solver` applies and traces G at
+    (zeta, eta) from one n x n inverse, and holds G's blocks when an
+    experiment needs them.  What no experiment needs stays None.
     """
 
     n: int
@@ -315,10 +311,13 @@ class TrialContext:
             ctx.eigenvalues, ctx.eigenvectors = _eig(x.entries)
         elif "eigvals" in needs:
             ctx.eigenvalues = _eig(x.entries, vectors=False)
-        if needs & {"svd", "svdvals"}:
-            ctx.dec = decompose(hermitize(x, grid.zeta), compute_vectors="svd" in needs)
-        if "resolvent" in needs:
+        if "svdvals" in needs:
+            ctx.dec = decompose(hermitize(x, grid.zeta), compute_vectors=False)
+        if needs & {"resolvent", "blocks"}:
             ctx.solver = ResolventSolver(x.entries, grid.zeta, ctx.eta)
+        if "blocks" in needs:
+            # formed before the task waits for its n's setup, off the critical path
+            ctx.solver.blocks
         return ctx
 
 
@@ -342,8 +341,9 @@ class Experiment:
     """A registry entry: one sample-based experiment in four parts.
 
     needs      what `observe` reads from a TrialContext: "eig", "eigvals",
-               "svd" (of X - zeta, with vectors), "svdvals" or
-               "resolvent" (the solver at the trial's zeta and eta);
+               "svdvals" (of X - zeta), "resolvent" (the solver at the
+               trial's zeta and eta) or "blocks" (the solver with G's
+               blocks formed);
     setup      (setting, **options) -> the state every trial at one n shares;
     observe    (ctx, state) -> the records of one trial;
     summarize  (records, grid, state) -> the experiment's result, with the
@@ -362,7 +362,7 @@ class Experiment:
 
 
 def _local_law_observe(ctx, v):
-    avg_g = resolvent_trace(ctx.dec, ctx.eta)
+    avg_g = ctx.solver.avg_trace()
     observed = abs(avg_g - 1j * v)
     envelope = ctx.n ** EPSILON_EXPONENT / (ctx.n * ctx.eta)
     return [ExperimentRecord(
@@ -394,6 +394,8 @@ def _iso_law_setup(setting, n_pairs=20):
     probes = np.stack([p for _, p in default_probes(2 * setting.n, seed=setting.grid.seed,
                                                     k=2)], axis=1)
     rows, cols = np.triu_indices(probes.shape[1])
+    if not 1 <= n_pairs <= rows.size:
+        raise ValueError(f"n_pairs must lie in 1..{rows.size}, got {n_pairs}")
     return setting.dyson, probes, (rows[:n_pairs], cols[:n_pairs])
 
 
@@ -572,9 +574,9 @@ def _error_matrix_setup(setting):
 
 def _error_matrix_observe(ctx, state):
     se, probes, tests = state
-    n, eta, dec = ctx.n, ctx.eta, ctx.dec
-    iso, avg = error_matrix_norms(ctx.x, dec, eta, se, probes=probes, test_matrices=tests)
-    im_g = float(np.imag(resolvent_trace(dec, eta)))
+    n, eta = ctx.n, ctx.eta
+    iso, avg = error_matrix_norms(ctx.x, ctx.solver, se, probes=probes, test_matrices=tests)
+    im_g = ctx.solver.avg_trace().imag
     scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)
     scale_iso = n ** EPSILON_EXPONENT * np.sqrt(im_g / (n * eta))
     ok = (avg <= MEDIAN_CONSTANT * scale_avg) and (iso <= MEDIAN_CONSTANT * scale_iso)
@@ -594,7 +596,7 @@ def _error_matrix_summary(records, grid, _state):
 
 
 EXPERIMENTS = {
-    "local-law": Experiment(frozenset({"svdvals"}), lambda setting: setting.dyson[0],
+    "local-law": Experiment(frozenset({"resolvent"}), lambda setting: setting.dyson[0],
                             _local_law_observe, _local_law_summary),
     "iso-law": Experiment(frozenset({"resolvent"}), _iso_law_setup, _iso_law_observe,
                           _iso_law_summary),
@@ -603,7 +605,7 @@ EXPERIMENTS = {
                         single_n=True),
     "linstats": Experiment(frozenset({"eigvals"}), _linstats_setup, _linstats_observe,
                            _linstats_summary),
-    "error-matrix": Experiment(frozenset({"svd"}), _error_matrix_setup,
+    "error-matrix": Experiment(frozenset({"blocks"}), _error_matrix_setup,
                                _error_matrix_observe, _error_matrix_summary),
     # one DensityMap of trial 0, which is its own summary
     "density": Experiment(frozenset({"eigvals"}),

@@ -1,17 +1,20 @@
 """Hermitization of X and resolvent functionals of G = (H_zeta - i eta)^{-1}.
 
-H_zeta = [[0, X - zeta], [(X - zeta)*, 0]] has spectrum {+/- sigma_i(X - zeta)},
-so the decomposition is computed once per zeta from the SVD of the shifted
-block and every eta-dependent functional is then O(n) or O(n^2).  Block
-formulas used throughout (A = X - zeta = U S V^H, f = 1/(S^2 + eta^2)):
+H_zeta = [[0, A], [A^H, 0]], A = X - zeta, has spectrum {+/- sigma_i(A)}, and
+G has two engines.  `decompose` takes the SVD A = U S V^H once per zeta, so
+each eta then costs O(n) or O(n^2); with f = 1/(S^2 + eta^2):
 
     G11 = U (i eta f) U^H    G12 = U (S f) V^H
     G21 = V (S f) U^H        G22 = V (i eta f) V^H
+
+`ResolventSolver` holds G at one (zeta, eta) from n x n inverses; the local
+laws and the error matrix D = (H + Z + hat-S[G]) G read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +67,10 @@ class SpectralDecomposition:
     singular_values: np.ndarray          # descending, length n
     u: np.ndarray | None = None          # left singular vectors of X - zeta
     vh: np.ndarray | None = None         # right singular vectors (V^H rows)
-    _uv_diag: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.singular_values.size
-
-    @property
-    def has_vectors(self) -> bool:
-        return self.u is not None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -83,7 +81,7 @@ class SpectralDecomposition:
     @property
     def eigenvectors(self) -> np.ndarray:
         """Unitary 2n x 2n eigenvector matrix matching `eigenvalues` order."""
-        if not self.has_vectors:
+        if self.u is None:
             raise ValueError("decomposition was computed without vectors")
         n = self.n
         v = self.vh.conj().T
@@ -96,13 +94,12 @@ class SpectralDecomposition:
         w[n:, n:] = v[:, rev] * inv_sqrt2
         return w
 
+    @functools.cached_property
     def uv_diag(self) -> np.ndarray:
         """diag(V^H U), needed by the off-diagonal partial traces."""
-        if self._uv_diag is None:
-            if not self.has_vectors:
-                raise ValueError("decomposition was computed without vectors")
-            self._uv_diag = np.einsum("ij,ji->i", self.vh, self.u)
-        return self._uv_diag
+        if self.u is None:
+            raise ValueError("decomposition was computed without vectors")
+        return np.einsum("ij,ji->i", self.vh, self.u)
 
 
 def decompose(h: Hermitization, compute_vectors: bool = True) -> SpectralDecomposition:
@@ -149,7 +146,7 @@ def partial_trace(dec: SpectralDecomposition, eta: float) -> np.ndarray:
     s = dec.singular_values
     f = 1.0 / (s ** 2 + eta ** 2)
     diag = 1j * eta * np.mean(f)
-    uv = dec.uv_diag()
+    uv = dec.uv_diag
     ul12 = np.mean(s * f * uv)
     ul21 = np.mean(s * f * np.conj(uv))
     return np.array([[diag, ul12], [ul21, diag]])
@@ -256,18 +253,6 @@ class SelfEnergyData:
         return cls(rho=spec.rho, p=shift * spec.rho / spec.n, q=shift / spec.n)
 
 
-def _g_blocks(dec: SpectralDecomposition, eta: float):
-    """The n x n blocks of G; G21 = V (S f) U^H is G12^H, so it costs no product."""
-    s = dec.singular_values
-    f = 1.0 / (s ** 2 + eta ** 2)
-    u, vh = dec.u, dec.vh
-    v, uh = vh.conj().T, u.conj().T
-    g11 = (u * (1j * eta * f)) @ uh
-    g12 = (u * (s * f)) @ vh
-    g22 = (v * (1j * eta * f)) @ vh
-    return g11, g12, g12.conj().T, g22
-
-
 def _hadamard(block_t: np.ndarray, coeff: complex) -> np.ndarray:
     """coeff * (B^t with zeroed diagonal), the constant-profile Hadamard term."""
     out = coeff * block_t.T
@@ -286,12 +271,11 @@ def self_energy_hat(g11, g12, g21, g22, se: SelfEnergyData):
     return k11, k12, k21, k22
 
 
-def error_matrix(x, dec: SpectralDecomposition, eta: float,
-                 se: SelfEnergyData) -> np.ndarray:
-    """D = (H + Z + hat-S[G]) G assembled as a full 2n x 2n matrix."""
+def error_matrix(x, solver: ResolventSolver, se: SelfEnergyData) -> np.ndarray:
+    """D = (H + Z + hat-S[G]) G assembled as a full 2n x 2n matrix, G from `solver`."""
     a = _entries(x)
     n = a.shape[0]
-    g11, g12, g21, g22 = _g_blocks(dec, eta)
+    g11, g12, g21, g22 = solver.blocks
     k11, k12, k21, k22 = self_energy_hat(g11, g12, g21, g22, se)
     # H + Z has blocks [[0, X], [X^H, 0]]
     k12 = k12 + a
@@ -352,12 +336,15 @@ def default_test_matrices(n2: int):
 
 
 class ResolventSolver:
-    """Applies G = (H_zeta - i eta)^{-1} at one fixed eta via n x n inverses.
+    """G = (H_zeta - i eta)^{-1} at one fixed eta from n x n inverses.
 
-    Uses the Schur-complement identity w1 = (A A^H + eta^2)^{-1} (i eta y1 + A y2),
-    w2 = -i (A^H w1 - y2)/eta, which costs one Hermitian inverse instead of a
-    2n x 2n factorization.  Cheaper than a full decomposition when only one
-    spectral scale is needed.
+    With A = X - zeta and W = (A A^H + eta^2)^{-1}: G11 = i eta W, G12 = W A,
+    G21 = G12^H, G22 = i eta (A^H A + eta^2)^{-1}, and G y for y = (y1, y2)
+    is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.  That second
+    half cancels when eta is small against A's smallest singular value, so
+    `blocks` inverts A^H A + eta^2 for G22 instead of forming
+    (i/eta)(I - A^H W A).  Each inverse is n x n and Hermitian, so one eta
+    costs less than a 2n x 2n factorization or a full decomposition.
     """
 
     def __init__(self, x, zeta: complex, eta: float):
@@ -380,17 +367,26 @@ class ResolventSolver:
         w2 = -1j * (self.a.conj().T @ w1 - y2) / eta
         return np.concatenate([w1, w2])
 
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """The n x n blocks (G11, G12, G21, G22) of G; G21 = G12^H costs no product."""
+        a, eta = self.a, self.eta
+        gram = a.conj().T @ a
+        gram[np.diag_indices(self.n)] += eta ** 2
+        g12 = self.w @ a
+        return 1j * eta * self.w, g12, g12.conj().T, 1j * eta * np.linalg.inv(gram)
+
     def avg_trace(self) -> complex:
-        return complex(1j * self.eta * np.trace(self.w) / self.n)
+        # tr W is real: dropping its rounding-level imaginary part keeps <G> imaginary
+        return complex(0.0, self.eta * float(np.trace(self.w).real) / self.n)
 
     def partial_traces(self) -> np.ndarray:
-        diag = 1j * self.eta * np.trace(self.w) / self.n
+        diag = self.avg_trace()
         ul12 = np.einsum("ij,ji->", self.w, self.a) / self.n
         return np.array([[diag, ul12], [np.conj(ul12), diag]])
 
 
-def error_matrix_norms(x, dec: SpectralDecomposition, eta: float,
-                       se: SelfEnergyData, probes=None,
+def error_matrix_norms(x, solver: ResolventSolver, se: SelfEnergyData, probes=None,
                        test_matrices=None) -> tuple[float, float]:
     """(iso, avg) norms of the error matrix over probe pairs / test matrices.
 
@@ -401,10 +397,8 @@ def error_matrix_norms(x, dec: SpectralDecomposition, eta: float,
     so no 2n x 2n test matrix is formed; a random one's is the dot product
     of vec(B^T) with vec(D), one contiguous pass over D.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    n, n2 = dec.n, 2 * dec.n
-    d = error_matrix(x, dec, eta, se)
+    n, n2 = solver.n, 2 * solver.n
+    d = error_matrix(x, solver, se)
     if probes is None:
         probes = default_probes(n2, k=8)
     if test_matrices is None:

@@ -19,7 +19,6 @@ from ellipticlab import (
     SelfEnergyData,
     SpectralPoint,
     aggregate_moment_test,
-    averaged_local_law,
     b_from_v,
     decompose,
     delocalisation_test,
@@ -27,7 +26,6 @@ from ellipticlab import (
     error_matrix_experiment,
     girko_consistency,
     hermitize,
-    isotropic_local_law,
     linear_statistics,
     log_det_check,
     log_potential,
@@ -35,6 +33,7 @@ from ellipticlab import (
     monte_carlo_estimate,
     partial_trace,
     resolvent_trace,
+    run_experiments,
     sample,
     small_singular_scan,
     solve_dyson,
@@ -205,18 +204,19 @@ def test_criterion_07_spectral_engine_exactness():
 
 
 @pytest.fixture(scope="module")
-def averaged_report():
+def local_laws():
+    # criteria 8 and 9 on one run: one sample and one resolvent per trial serve both
     grid = ExperimentGrid(n_values=(256, 512, 1024, 2048), zeta=BULK_ZETA,
                           eta_rule=EtaRule(0.75), trials=20, delta=0.1,
                           seed=1, rho=0.5)
     start = time.time()
-    rep = averaged_local_law(grid, threads=2)
-    rep.summary["runtime_s"] = time.time() - start
-    return rep
+    reps = run_experiments(grid, {"local-law": {}, "iso-law": {"n_pairs": 20}}, threads=2)
+    reps["local-law"].summary["runtime_s"] = time.time() - start
+    return reps
 
 
-def test_criterion_08_averaged_local_law(averaged_report):
-    rep = averaged_report
+def test_criterion_08_averaged_local_law(local_laws):
+    rep = local_laws["local-law"]
     for n in (256, 512, 1024, 2048):
         neta = n * float(n) ** -0.75
         assert rep.summary["median_by_n"][str(n)] <= 10.0 / neta
@@ -231,11 +231,8 @@ def test_criterion_08_averaged_local_law(averaged_report):
                           f"{rep.summary['runtime_s']:.0f}s")
 
 
-def test_criterion_09_isotropic_local_law():
-    grid = ExperimentGrid(n_values=(256, 512, 1024, 2048), zeta=BULK_ZETA,
-                          eta_rule=EtaRule(0.75), trials=20, delta=0.1,
-                          seed=1, rho=0.5)
-    rep = isotropic_local_law(grid, n_pairs=20, threads=2)
+def test_criterion_09_isotropic_local_law(local_laws):
+    rep = local_laws["iso-law"]
     frac = rep.summary["record_pass_fraction"]
     assert frac >= 0.95
     report("criterion-9", f"pass fraction {frac:.3f} (max observed "

@@ -115,6 +115,18 @@ class TestParsing:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--rho", "0.5", "--resolution", "0"],
+        ["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1",
+         "--trials", "0"],
+    ], ids=["density-resolution", "spectrum-trials"])
+    def test_zero_counts_exit_two(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -529,10 +541,11 @@ class TestSharedTrialContexts:
         assert sorted(calls["sample"]) == [(n, t) for t in range(3)]
         assert len(calls["eig"]) == 3
         assert calls["eigvals"] == []
-        # one SVD of X - zeta, with vectors, serves local-law, ssv-scan and error-matrix
-        assert calls["svd"] == [True] * 3
-        # and one n x n inverse, iso-law's resolvent solver
-        assert calls["inv"] == [(n, n)] * 3
+        # one SVD of X - zeta, values only, serves ssv-scan
+        assert calls["svd"] == [False] * 3
+        # and one resolvent solver serves local-law, iso-law and error-matrix: the
+        # inverse of (X - zeta)(X - zeta)^H + eta^2, and error-matrix's G22
+        assert calls["inv"] == [(n, n)] * 6
         assert len(list(out.glob("*.jsonl"))) == len(POOLED)
 
     def test_density_samples_trial_zero_only(self, calls, tmp_path):
@@ -566,21 +579,18 @@ class TestSharedTrialContexts:
                                       threads=2),
             harness.error_matrix_experiment(grid, threads=2),
         ]
-        # a shared SVD with vectors, or eig in place of eigvals, rounds differently
-        tolerant = {"averaged_local_law": None, "linear_statistics": None,
-                    "small_singular_scan": {"sigma_min"}}
         for rep in standalone:
             got = [json.loads(line) for line in
                    (out / f"{rep.name}.jsonl").read_text().splitlines()]
             want = [json.loads(json.dumps(r.to_dict())) for r in rep.records]
-            if rep.name not in tolerant:
+            # eig in place of eigvals rounds differently
+            if rep.name != "linear_statistics":
                 assert got == want, rep.name
                 continue
-            keys = tolerant[rep.name]
             assert [sorted(g) for g in got] == [sorted(w) for w in want]
             for g, w in zip(got, want):
                 for key, value in w.items():
-                    if type(value) is float and (keys is None or key in keys):
+                    if type(value) is float:
                         assert g[key] == pytest.approx(value, rel=1e-12, abs=0), (rep.name, key)
                     else:
                         assert g[key] == value, (rep.name, key)

@@ -295,6 +295,17 @@ class TestIsotropicLaw:
         assert rep.summary["record_pass_fraction"] == 1.0
         assert rep.summary["trace_consistency_fraction"] == 1.0
 
+    @pytest.mark.parametrize("n_pairs", [0, -1, -20, 22, 100])
+    def test_n_pairs_outside_the_probe_pairs_rejected(self, n_pairs):
+        # six probes give 21 pairs (i <= j)
+        with pytest.raises(ValueError, match="n_pairs must lie in 1..21"):
+            isotropic_local_law(small_grid(n_values=(16,), trials=1), n_pairs=n_pairs)
+
+    @pytest.mark.parametrize("n_pairs", [1, 21])
+    def test_n_pairs_at_the_ends_accepted(self, n_pairs):
+        rep = isotropic_local_law(small_grid(n_values=(16,), trials=1), n_pairs=n_pairs)
+        assert rep.records[0].observed > 0
+
     def test_records_have_avg_norm_extras(self):
         rep = isotropic_local_law(small_grid(n_values=(64,), trials=2))
         for r in rep.records:
@@ -829,7 +840,7 @@ class TestErrorMatrixExperiment:
         assert sorted(built) == [128, 256]
         # the per-trial path: error_matrix_norms builds its own probes and test matrices
         monkeypatch.setattr(harness, "error_matrix_norms",
-                            lambda x, dec, eta, se, **_: error_matrix_norms(x, dec, eta, se))
+                            lambda x, solver, se, **_: error_matrix_norms(x, solver, se))
         per_trial = error_matrix_experiment(grid, threads=2)
         assert [r.to_dict() for r in shared.records] == [r.to_dict() for r in per_trial.records]
 

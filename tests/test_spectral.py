@@ -28,7 +28,6 @@ from ellipticlab.spectral import (
     error_matrix,
     resolvent_functionals,
     self_energy_hat,
-    _g_blocks,
 )
 
 
@@ -250,6 +249,24 @@ class TestResolventSolver:
         dec = decompose(hermitize(mat, zeta))
         assert abs(solver.avg_trace() - resolvent_trace(dec, eta)) < 1e-11
         assert np.max(np.abs(solver.partial_traces() - partial_trace(dec, eta))) < 1e-11
+        # <G> and the diagonal block traces are read from the real trace of W
+        ul = solver.partial_traces()
+        assert solver.avg_trace().real == 0.0
+        assert ul[0, 0] == ul[1, 1] == solver.avg_trace()
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-12])
+    @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0])
+    def test_blocks_match_the_svd_formula(self, n, eta, zeta):
+        # G22 from its own inverse: (i/eta)(I - A^H W A) cancels at small eta
+        mat = small_matrix(n=n, seed=9, rho=0.4, mu=0.7)
+        u, s, vh = np.linalg.svd(mat.entries - zeta * np.eye(n))
+        v, f = vh.conj().T, 1.0 / (s ** 2 + eta ** 2)
+        oracle = [(u * (1j * eta * f)) @ u.conj().T, (u * (s * f)) @ vh,
+                  (v * (s * f)) @ u.conj().T, (v * (1j * eta * f)) @ vh]
+        blocks = ResolventSolver(mat.entries, zeta, eta).blocks
+        for label, block, want in zip(("G11", "G12", "G21", "G22"), blocks, oracle):
+            assert np.max(np.abs(block - want)) <= 1e-10 * np.max(np.abs(want)), label
 
 
 class TestErrorMatrix:
@@ -257,11 +274,11 @@ class TestErrorMatrix:
         # X = 0, zeta = 0: G = (i/eta) I, hat-S[G] = (i/eta) I, so D = -I/eta^2
         eta = 0.5
         x = np.zeros((2, 2), dtype=complex)
-        dec = decompose(hermitize(x, 0.0))
+        solver = ResolventSolver(x, 0.0, eta)
         se = SelfEnergyData(rho=0.5, p=0.1, q=0.2)
-        d = error_matrix(x, dec, eta, se)
+        d = error_matrix(x, solver, se)
         assert np.max(np.abs(d - (-1.0 / eta ** 2) * np.eye(4))) < 1e-12
-        iso, avg = error_matrix_norms(x, dec, eta, se)
+        iso, avg = error_matrix_norms(x, solver, se)
         assert iso == pytest.approx(1.0 / eta ** 2, rel=1e-12)
         assert avg == pytest.approx(1.0 / eta ** 2, rel=1e-12)
 
@@ -296,28 +313,27 @@ class TestErrorMatrix:
     def test_g_blocks_match_the_dense_resolvent(self, n):
         mat = small_matrix(n=n, seed=5, rho=0.4, mu=0.7)
         zeta, eta = 0.2 + 0.1j, 0.3
-        dec = decompose(hermitize(mat, zeta))
+        blocks = ResolventSolver(mat.entries, zeta, eta).blocks
         g = dense_resolvent(mat, zeta, eta)
         dense = [g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]]
-        for block, oracle in zip(_g_blocks(dec, eta), dense):
+        for block, oracle in zip(blocks, dense):
             assert np.max(np.abs(block - oracle)) < 1e-12
-        _, g12, g21, _ = _g_blocks(dec, eta)
+        _, g12, g21, _ = blocks
         assert np.array_equal(g21, g12.conj().T)
 
     def test_perturbed_equation_consistency(self):
         # D = (H + Z + hat-S[G])G equals 1 + (i eta + Z + hat-S[G])G exactly
         mat = small_matrix(n=10, seed=8, rho=0.4, mu=0.7)
         zeta, eta = 0.2 + 0.1j, 0.3
-        dec = decompose(hermitize(mat, zeta))
+        solver = ResolventSolver(mat.entries, zeta, eta)
         se = SelfEnergyData.from_spec(mat.spec)
-        d = error_matrix(mat.entries, dec, eta, se)
+        d = error_matrix(mat.entries, solver, se)
         n = 10
         g = dense_resolvent(mat, zeta, eta)
         zmat = np.zeros((2 * n, 2 * n), dtype=complex)
         zmat[:n, n:] = zeta * np.eye(n)
         zmat[n:, :n] = np.conj(zeta) * np.eye(n)
-        g11, g12, g21, g22 = _g_blocks(dec, eta)
-        k11, k12, k21, k22 = self_energy_hat(g11, g12, g21, g22, se)
+        k11, k12, k21, k22 = self_energy_hat(*solver.blocks, se)
         shat = np.block([[k11, k12], [k21, k22]])
         alt = np.eye(2 * n) + (1j * eta * np.eye(2 * n) + zmat + shat) @ g
         assert np.max(np.abs(d - alt)) < 1e-10
@@ -328,10 +344,9 @@ class TestErrorMatrix:
         for n in (64, 256):
             spec = EnsembleSpec(n=n, rho=0.5, seed=3)
             mat = sample(spec)
-            dec = decompose(hermitize(mat, 0.3 + 0.2j))
-            eta = n ** -0.5
+            solver = ResolventSolver(mat.entries, 0.3 + 0.2j, n ** -0.5)
             se = SelfEnergyData.from_spec(spec)
-            _, avg = error_matrix_norms(mat.entries, dec, eta, se)
+            _, avg = error_matrix_norms(mat.entries, solver, se)
             vals[n] = avg
         assert vals[256] < vals[64]
 
@@ -378,25 +393,24 @@ class TestAveragedErrorNorm:
     def test_matches_dense_kronecker_oracle(self, n, monkeypatch):
         spec = EnsembleSpec(n=n, rho=0.5, mu=0.7, seed=13)
         x = sample(spec)
-        eta = n ** -0.5
-        dec = decompose(hermitize(x, 0.2 + 0.1j))
+        solver = ResolventSolver(x, 0.2 + 0.1j, n ** -0.5)
         se = SelfEnergyData.from_spec(spec)
-        d = error_matrix(x, dec, eta, se)
+        d = error_matrix(x, solver, se)
 
         def oracle(mats):
             return max(abs(np.einsum("ij,ji->", b, d)) for b in mats) / (2 * n)
 
         blocks = [np.kron(c, np.eye(n)) for c in BLOCK_TESTS.values()]
         tests = default_test_matrices(2 * n)
-        _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[])
+        _, avg = error_matrix_norms(x, solver, se, test_matrices=[])
         assert avg == pytest.approx(oracle(blocks), rel=1e-13)
         for label, b in tests:
-            _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[(label, b)])
+            _, avg = error_matrix_norms(x, solver, se, test_matrices=[(label, b)])
             assert avg == pytest.approx(oracle(blocks + [b]), rel=1e-13), label
-        _, avg = error_matrix_norms(x, dec, eta, se)
+        _, avg = error_matrix_norms(x, solver, se)
         assert avg == pytest.approx(oracle(blocks + [b for _, b in tests]), rel=1e-13)
         # each block test on its own, not just the largest
         for label, c in BLOCK_TESTS.items():
             monkeypatch.setattr(spectral, "BLOCK_TESTS", {label: c})
-            _, avg = error_matrix_norms(x, dec, eta, se, test_matrices=[])
+            _, avg = error_matrix_norms(x, solver, se, test_matrices=[])
             assert avg == pytest.approx(oracle([np.kron(c, np.eye(n))]), rel=1e-13), label
