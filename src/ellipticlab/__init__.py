@@ -59,7 +59,6 @@ from .spectral import (
     hermitize,
     log_det_check,
     partial_trace,
-    resolvent_isotropic,
     resolvent_trace,
     small_singular_count,
     smallest_singular_value,

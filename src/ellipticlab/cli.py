@@ -35,7 +35,8 @@ from .ensemble import EnsembleSpec, moment_self_test, sample, save_matrix
 from .harness import EtaRule, ExperimentGrid
 from .potential import log_potential
 from .quad2d import QuadratureError
-from .spectral import SingularHermitizationError, decompose, default_probes, hermitize, resolvent_functionals
+from .spectral import (SingularHermitizationError, decompose, default_probes, hermitize,
+                       isotropic_entries, log_abs_det, partial_trace)
 from .stability import self_energy_2x2, stability_analysis
 
 SCHEMA_VERSION = 1
@@ -177,20 +178,19 @@ def cmd_spectrum(args) -> int:
     spec = EnsembleSpec(n=args.n, rho=args.rho, mu=args.mu, base=args.base,
                         seed=args.seed)
     out = _out_dir(args)
+    names, vecs = zip(*default_probes(2 * args.n, seed=spec.seed, k=2)[:4])
+    labels = [f"{a}|{b}" for a, b in zip(names[:3], names[1:])]
+    probes = np.stack(vecs, axis=1)
     decs, rows = [], []
-    probes = None
     for trial in range(args.trials):
         mat = sample(spec, trial)
         for zeta in args.zeta:
             dec = decompose(hermitize(mat, zeta))
             decs.append((trial, dec))
-            if probes is None:
-                pr = default_probes(2 * args.n, seed=spec.seed, k=2)
-                probes = [(f"{a}|{b}", pa, pb) for (a, pa), (b, pb) in
-                          zip(pr[:3], pr[1:4])]
-            for eta in args.eta:
-                rows.append((trial, zeta, eta,
-                             resolvent_functionals(dec, eta, probes)))
+            iso = isotropic_entries(dec, args.eta, probes[:, :3], probes[:, 1:])
+            for eta, entries in zip(args.eta, iso):
+                rows.append((trial, zeta, eta, partial_trace(dec, eta),
+                             list(zip(labels, entries)), log_abs_det(dec)))
     harness.dump_eigenvalues(out / f"{args.prefix}.eigenvalues.csv", decs)
     harness.dump_functionals(out / f"{args.prefix}.functionals.jsonl", rows)
     print(f"wrote {out / args.prefix}.eigenvalues.csv and .functionals.jsonl")
@@ -407,16 +407,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_at_least(low: int):
+    def int_at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return int_at_least
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    # nan fails both comparisons
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
 def _add_threads(p) -> None:
     """--threads, for the subcommands that run trials in a pool."""
-    p.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
+    p.add_argument("--threads", type=_int_at_least(1), default=_usable_cpus(),
                    help="trials run on this many workers, each with "
                         "single-threaded BLAS (default: the CPUs this process "
                         "may use)")
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="CSV field of the ellipse density")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--resolution", type=_positive_int, default=101)
+    p.add_argument("--resolution", type=_int_at_least(2), default=101)
     p.add_argument("--out", default=None)
     _add_output(p, report=False)
     p.set_defaults(func=cmd_density)
@@ -507,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
                    default="gaussian")
     p.add_argument("--zeta", type=parse_complex, nargs="+", required=True)
-    p.add_argument("--eta", type=float, nargs="+", required=True)
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--eta", type=_positive_float, nargs="+", required=True)
+    p.add_argument("--trials", type=_int_at_least(1), default=1)
     p.add_argument("--prefix", default="spectrum")
     _add_output(p, report=False)
     _add_seed(p)
@@ -549,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--mc-delta", type=float, default=0.1)
-    p.add_argument("--reps", type=_positive_int, default=1000)
+    p.add_argument("--reps", type=_int_at_least(1), default=1000)
     p.set_defaults(func=cmd_mc_check)
 
     p = sub.add_parser("experiment", help="run experiments from a JSON config")

@@ -102,11 +102,6 @@ class EllipseRegion:
         s = np.sqrt(1.0 - self.delta)
         return (-ax * s, ax * s, -ay * s, ay * s)
 
-    @property
-    def area(self) -> float:
-        ax, ay = self.semi_axes
-        return np.pi * ax * ay * (1.0 - self.delta)
-
     def sample_uniform(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m points uniform on the region, by rejection from the bounding box."""
         x0, x1, y0, y1 = self.bounding_box()

@@ -991,19 +991,16 @@ def dump_eigenvalues(path, dec_list) -> None:
 
 
 def dump_functionals(path, rows) -> None:
-    """JSONL dump of resolvent functionals, one record per (trial, zeta, eta)."""
+    """JSONL dump of rows (trial, zeta, eta, block traces, [(label, <x, G y>)], log|det H|)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for trial, zeta, eta, func in rows:
+        for trial, zeta, eta, traces, iso, log_det in rows:
             rec = {
                 "trial": trial,
                 "zeta_re": zeta.real, "zeta_im": zeta.imag, "eta": eta,
-                "avg_trace_re": func.avg_trace.real,
-                "avg_trace_im": func.avg_trace.imag,
-                "partial_traces": [[func.partial_traces[i, j].real,
-                                    func.partial_traces[i, j].imag]
-                                   for i in range(2) for j in range(2)],
-                "iso_probes": [[label, val.real, val.imag]
-                               for label, val in func.iso_entries],
-                "log_det": func.log_det,
+                "avg_trace_re": traces[0, 0].real,
+                "avg_trace_im": traces[0, 0].imag,
+                "partial_traces": [[t.real, t.imag] for t in traces.ravel()],
+                "iso_probes": [[label, val.real, val.imag] for label, val in iso],
+                "log_det": log_det,
             }
             fh.write(json.dumps(rec) + "\n")

@@ -2,13 +2,13 @@
 
 H_zeta = [[0, A], [A^H, 0]], A = X - zeta, has spectrum {+/- sigma_i(A)}, and
 G has two engines.  `decompose` takes the SVD A = U S V^H once per zeta, so
-each eta then costs O(n) or O(n^2); with f = 1/(S^2 + eta^2):
+each eta then costs O(n), or O(nk) for k probe pairs; with f = 1/(S^2 + eta^2):
 
     G11 = U (i eta f) U^H    G12 = U (S f) V^H
     G21 = V (S f) U^H        G22 = V (i eta f) V^H
 
-`ResolventSolver` holds G at one (zeta, eta) from n x n inverses; the local
-laws and the error matrix D = (H + Z + hat-S[G]) G read it.
+`ResolventSolver` holds G at one (zeta, eta) from n x n inverses for the local
+laws and the error matrix; the SVD form above is its test reference.
 """
 
 from __future__ import annotations
@@ -78,22 +78,6 @@ class SpectralDecomposition:
         s = self.singular_values
         return np.concatenate([-s, s[::-1]])
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Unitary 2n x 2n eigenvector matrix matching `eigenvalues` order."""
-        if self.u is None:
-            raise ValueError("decomposition was computed without vectors")
-        n = self.n
-        v = self.vh.conj().T
-        w = np.zeros((2 * n, 2 * n), dtype=complex)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        w[:n, :n] = self.u * inv_sqrt2
-        w[n:, :n] = -v * inv_sqrt2
-        rev = slice(None, None, -1)
-        w[:n, n:] = self.u[:, rev] * inv_sqrt2
-        w[n:, n:] = v[:, rev] * inv_sqrt2
-        return w
-
     @functools.cached_property
     def uv_diag(self) -> np.ndarray:
         """diag(V^H U), needed by the off-diagonal partial traces."""
@@ -119,33 +103,33 @@ def resolvent_trace(dec: SpectralDecomposition, eta: float) -> complex:
     return complex(1j * eta * np.mean(1.0 / (s ** 2 + eta ** 2)))
 
 
-def resolvent_isotropic(dec: SpectralDecomposition, eta: float,
-                        x: np.ndarray, y: np.ndarray) -> complex:
-    """<x, G y> through the spectral representation."""
-    if eta <= 0:
+def isotropic_entries(dec: SpectralDecomposition, etas, xs: np.ndarray,
+                      ys: np.ndarray) -> np.ndarray:
+    """<x_j, G y_j> for the columns of two 2n x k arrays, one row per eta.
+
+    The probes are projected on U and V once: with a, b the conjugates of
+    U^H x1, V^H x2 and c, d = U^H y1, V^H y2, each eta costs O(nk), as
+    <x, G y> = sum_i f_i (i eta (a_i c_i + b_i d_i) + s_i (a_i d_i + b_i c_i)).
+    """
+    etas = np.asarray(etas, dtype=float)
+    if np.any(etas <= 0):
         raise ValueError("eta must be positive")
     n = dec.n
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != (2 * n,) or y.shape != (2 * n,):
-        raise ValueError("probes must be vectors of length 2n")
-    ax = dec.u.conj().T @ x[:n]
-    bx = dec.vh @ x[n:]
-    ay = dec.u.conj().T @ y[:n]
-    by = dec.vh @ y[n:]
+    if xs.shape != ys.shape or xs.shape[0] != 2 * n:
+        raise ValueError("probes must be two 2n x k arrays")
+    uh = dec.u.conj().T
+    a, b = (uh @ xs[:n]).conj(), (dec.vh @ xs[n:]).conj()
+    c, d = uh @ ys[:n], dec.vh @ ys[n:]
     s = dec.singular_values
-    plus = np.conj(ax + bx) * (ay + by) / (s - 1j * eta)
-    minus = np.conj(ax - bx) * (ay - by) / (-s - 1j * eta)
-    return complex(0.5 * (plus.sum() + minus.sum()))
+    f = 1.0 / (s ** 2 + etas[:, None] ** 2)
+    return 1j * etas[:, None] * (f @ (a * c + b * d)) + (f * s) @ (a * d + b * c)
 
 
 def partial_trace(dec: SpectralDecomposition, eta: float) -> np.ndarray:
     """The 2x2 matrix of normalized block traces of G."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    diag = resolvent_trace(dec, eta)
     s = dec.singular_values
     f = 1.0 / (s ** 2 + eta ** 2)
-    diag = 1j * eta * np.mean(f)
     uv = dec.uv_diag
     ul12 = np.mean(s * f * uv)
     ul21 = np.mean(s * f * np.conj(uv))
@@ -161,6 +145,12 @@ def small_singular_count(dec: SpectralDecomposition, eta: float) -> int:
 
 def smallest_singular_value(dec: SpectralDecomposition) -> float:
     return float(dec.singular_values[-1])
+
+
+def log_abs_det(dec: SpectralDecomposition) -> float:
+    """log|det H_zeta| = 2 sum_i log s_i, or -inf once a singular value underflows."""
+    s = dec.singular_values
+    return float("-inf") if s[-1] < _ZERO_EIG else 2.0 * float(np.sum(np.log(s)))
 
 
 def log_det_check(dec: SpectralDecomposition, t_cut: float) -> tuple[float, float]:
@@ -190,29 +180,6 @@ def log_det_check(dec: SpectralDecomposition, t_cut: float) -> tuple[float, floa
     integral, _ = quad(im_trace, 0.0, t_cut, points=pts, limit=400, epsabs=1e-9)
     rhs = -2.0 * n * integral + float(np.sum(np.log(s2 + t_cut ** 2)))
     return lhs, rhs
-
-
-@dataclass
-class ResolventFunctional:
-    """Scalar observables of G at one (zeta, eta)."""
-
-    avg_trace: complex
-    partial_traces: np.ndarray
-    iso_entries: list
-    log_det: float
-
-
-def resolvent_functionals(dec: SpectralDecomposition, eta: float,
-                          probes=None) -> ResolventFunctional:
-    iso = []
-    if probes:
-        for label, x, y in probes:
-            iso.append((label, resolvent_isotropic(dec, eta, x, y)))
-    s = dec.singular_values
-    log_det = float("-inf") if s[-1] < _ZERO_EIG else 2.0 * float(np.sum(np.log(s)))
-    return ResolventFunctional(avg_trace=resolvent_trace(dec, eta),
-                               partial_traces=partial_trace(dec, eta),
-                               iso_entries=iso, log_det=log_det)
 
 
 def default_probes(n2: int, seed: int = 0, k: int = 16) -> list[tuple[str, np.ndarray]]:
@@ -340,10 +307,9 @@ class ResolventSolver:
 
     With A = X - zeta and W = (A A^H + eta^2)^{-1}: G11 = i eta W, G12 = W A,
     G21 = G12^H, G22 = i eta (A^H A + eta^2)^{-1}, and G y for y = (y1, y2)
-    is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.  That second
-    half cancels when eta is small against A's smallest singular value, so
-    `blocks` inverts A^H A + eta^2 for G22 instead of forming
-    (i/eta)(I - A^H W A).  Each inverse is n x n and Hermitian, so one eta
+    is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.  `blocks` inverts
+    A^H A + eta^2 for G22 instead of forming (i/eta)(I - A^H W A), which
+    cancels as w2 does.  Each inverse is n x n and Hermitian, so one eta
     costs less than a 2n x 2n factorization or a full decomposition.
     """
 
@@ -359,7 +325,10 @@ class ResolventSolver:
         self.w = np.linalg.inv(gram)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """G y for a 2n vector y, or G Y for a 2n x k block Y, column by column."""
+        """G y for a 2n vector y, or G Y for a 2n x k block Y, column by column.
+
+        w2 cancels as eta / sigma_min(A) -> 0 (at n = 64, zeta = 0.3+0.2i, entries
+        are off by 1e-6 relative at eta = 1e-6, 0.2 at 1e-12); `blocks` is accurate there."""
         n, eta = self.n, self.eta
         y = np.asarray(y, dtype=complex)
         y1, y2 = y[:n], y[n:]

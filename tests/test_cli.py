@@ -12,6 +12,7 @@ from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, En
 from ellipticlab import EtaRule, ExperimentGrid, harness
 from ellipticlab import TestFunction as Bump
 from ellipticlab.cli import build_parser, main, parse_complex
+from ellipticlab.spectral import default_probes
 
 
 class TestParsing:
@@ -115,17 +116,29 @@ class TestParsing:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["density", "--rho", "0.5", "--resolution", "0"],
-        ["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1",
-         "--trials", "0"],
-    ], ids=["density-resolution", "spectrum-trials"])
-    def test_zero_counts_exit_two(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, low", [
+        (["density", "--rho", "0.5", "--resolution", "0"], 2),
+        (["density", "--rho", "0.5", "--resolution", "1"], 2),
+        (["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1",
+          "--trials", "0"], 1),
+    ], ids=["density-resolution", "density-resolution-one", "spectrum-trials"])
+    def test_zero_counts_exit_two(self, argv, low, tmp_path, capsys):
+        # one density row per axis would be the box's corner alone
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path)])
         assert exc.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        assert f"must be at least {low}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
+    def test_spectrum_bad_eta_writes_nothing(self, eta, tmp_path, capsys):
+        out = tmp_path / "o2"
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--n", "4", "--rho", "0.5", "--zeta", "0",
+                  "--eta", "0.1", eta, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -236,6 +249,44 @@ class TestSpectrum:
                 (tmp_path / "spec.functionals.jsonl").read_text().strip().splitlines()]
         assert len(rows) == 2
         assert all(r["avg_trace_im"] > 0 for r in rows)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_functionals_match_dense_inverse(self, n, tmp_path):
+        # every dumped functional against the dense 2n x 2n inverse, down to eta = 1e-12
+        etas = [0.5, 1e-2, 1e-6, 1e-12]
+        zetas = [0.3 + 0.2j, 0j]
+        assert main(["spectrum", "--n", str(n), "--rho", "0.5", "--zeta", "0.3+0.2i", "0",
+                     "--eta", *map(str, etas), "--out-dir", str(tmp_path)]) == 0
+        rows = [json.loads(l) for l in
+                (tmp_path / "spectrum.functionals.jsonl").read_text().splitlines()]
+        assert len(rows) == len(zetas) * len(etas)
+        x = sample(EnsembleSpec(n=n, rho=0.5, seed=1), 0).entries
+        probes = default_probes(2 * n, seed=1, k=2)
+        rows = iter(rows)
+        for zeta in zetas:
+            h = np.zeros((2 * n, 2 * n), dtype=complex)
+            h[:n, n:] = x - zeta * np.eye(n)
+            h[n:, :n] = h[:n, n:].conj().T
+            sign, log_det = np.linalg.slogdet(h)
+            for eta in etas:
+                row = next(rows)
+                assert (complex(row["zeta_re"], row["zeta_im"]), row["eta"]) == (zeta, eta)
+                g = np.linalg.inv(h - 1j * eta * np.eye(2 * n))
+                avg = np.trace(g) / (2 * n)
+                got = complex(row["avg_trace_re"], row["avg_trace_im"])
+                assert abs(got - avg) <= 1e-9 * abs(avg)
+                traces = np.array([[np.trace(g[:n, :n]), np.trace(g[:n, n:])],
+                                   [np.trace(g[n:, :n]), np.trace(g[n:, n:])]]) / n
+                got = np.array([complex(*t) for t in row["partial_traces"]]).reshape(2, 2)
+                assert np.max(np.abs(got - traces)) <= 1e-9 * np.max(np.abs(traces))
+                iso = {label: complex(re, im) for label, re, im in row["iso_probes"]}
+                oracle = {f"{a}|{b}": np.vdot(pa, g @ pb)
+                          for (a, pa), (b, pb) in zip(probes[:3], probes[1:4])}
+                assert iso.keys() == oracle.keys()
+                # some entries vanish at n = 1, so the scale is the largest one
+                scale = max(abs(v) for v in oracle.values())
+                assert all(abs(iso[k] - v) <= 1e-9 * scale for k, v in oracle.items())
+                assert abs(row["log_det"] - log_det) <= 1e-9 * max(1.0, abs(log_det))
 
 
 class TestExperiments:

@@ -34,7 +34,8 @@ from ellipticlab.spectral import (
     default_test_matrices,
     error_matrix_norms,
     hermitize,
-    resolvent_functionals,
+    log_abs_det,
+    partial_trace,
 )
 from ellipticlab.quad2d import adaptive_quad2d
 from ellipticlab import elliptic_density, EllipticParam
@@ -860,10 +861,15 @@ class TestDumps:
     def test_functional_jsonl(self, tmp_path):
         mat = sample(EnsembleSpec(n=8, rho=0.5, seed=12))
         dec = decompose(hermitize(mat, 0.0))
-        fn = resolvent_functionals(dec, 0.5)
+        traces = partial_trace(dec, 0.5)
         path = tmp_path / "fn.jsonl"
-        dump_functionals(path, [(0, 0.0 + 0.0j, 0.5, fn)])
+        dump_functionals(path, [(0, 0.0 + 0.0j, 0.5, traces, [("e1|e1", 0.25 - 0.5j)],
+                                 log_abs_det(dec))])
         rec = json.loads(path.read_text().strip())
         assert rec["eta"] == 0.5
         assert rec["avg_trace_im"] > 0
-        assert len(rec["partial_traces"]) == 4
+        assert complex(rec["avg_trace_re"], rec["avg_trace_im"]) == traces[0, 0]
+        assert rec["partial_traces"] == [[traces[i, j].real, traces[i, j].imag]
+                                         for i in range(2) for j in range(2)]
+        assert rec["iso_probes"] == [["e1|e1", 0.25, -0.5]]
+        assert rec["log_det"] == log_abs_det(dec)

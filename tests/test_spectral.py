@@ -12,7 +12,6 @@ from ellipticlab import (
     hermitize,
     log_det_check,
     partial_trace,
-    resolvent_isotropic,
     resolvent_trace,
     sample,
     small_singular_count,
@@ -26,7 +25,8 @@ from ellipticlab.spectral import (
     default_probes,
     default_test_matrices,
     error_matrix,
-    resolvent_functionals,
+    isotropic_entries,
+    log_abs_det,
     self_energy_hat,
 )
 
@@ -63,13 +63,14 @@ class TestHermitization:
         assert np.max(np.abs(lam + lam[::-1])) < 1e-9
 
     def test_reconstruction(self):
-        h = hermitize(small_matrix(n=12, seed=2), -0.2 + 0.6j)
-        dec = decompose(h)
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-        scale = np.max(np.abs(h.matrix))
-        assert np.max(np.abs(h.matrix - rebuilt)) < 1e-10 * scale
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(2 * h.n))) < 1e-12
+        mat = small_matrix(n=12, seed=2)
+        zeta = -0.2 + 0.6j
+        dec = decompose(hermitize(mat, zeta))
+        shifted = mat.entries - zeta * np.eye(12)
+        rebuilt = (dec.u * dec.singular_values) @ dec.vh
+        assert np.max(np.abs(shifted - rebuilt)) < 1e-12 * np.max(np.abs(shifted))
+        for w in (dec.u, dec.vh):
+            assert np.max(np.abs(w.conj().T @ w - np.eye(12))) < 1e-12
 
     def test_trace_identities(self):
         mat = small_matrix(n=10, seed=3)
@@ -103,33 +104,33 @@ class TestResolventFunctionals:
 
     def test_isotropic_against_dense(self):
         mat = small_matrix(n=8, seed=4)
-        zeta, eta = -0.1 + 0.4j, 0.05
+        zeta, etas = -0.1 + 0.4j, (0.5, 0.05)
         dec = decompose(hermitize(mat, zeta))
-        g = dense_resolvent(mat, zeta, eta)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            assert abs(resolvent_isotropic(dec, eta, x, y)
-                       - np.vdot(x, g @ y)) < 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+        xs = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        ys = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        entries = isotropic_entries(dec, etas, xs, ys)
+        assert entries.shape == (2, 5)
+        for row, eta in zip(entries, etas):
+            g = dense_resolvent(mat, zeta, eta)
+            oracle = np.einsum("ij,ij->j", xs.conj(), g @ ys)
+            scale = np.linalg.norm(xs, axis=0) * np.linalg.norm(ys, axis=0)
+            assert np.all(np.abs(row - oracle) < 1e-10 * scale)
 
     def test_isotropic_trace_identity(self):
         dec = decompose(hermitize(small_matrix(n=6, seed=6), 0.2))
         eta = 0.7
-        acc = 0.0
-        for i in range(12):
-            e = np.zeros(12, dtype=complex)
-            e[i] = 1.0
-            acc += resolvent_isotropic(dec, eta, e, e)
+        unit = np.eye(12, dtype=complex)
+        acc = isotropic_entries(dec, [eta], unit, unit)[0].sum()
         assert abs(acc / 12 - resolvent_trace(dec, eta)) < 1e-12
 
     def test_isotropic_norm_bound(self):
         dec = decompose(hermitize(small_matrix(seed=7), 0.0))
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(16)
-        y = rng.standard_normal(16)
+        x = rng.standard_normal((16, 1))
+        y = rng.standard_normal((16, 1))
         eta = 0.2
-        val = resolvent_isotropic(dec, eta, x, y)
+        val = isotropic_entries(dec, [eta], x, y)[0, 0]
         assert abs(val) <= np.linalg.norm(x) * np.linalg.norm(y) / eta
 
     def test_ward_identity(self):
@@ -168,12 +169,23 @@ class TestResolventFunctionals:
         assert abs(ul[0, 1] - np.conj(complex(b))) < 0.05
 
     def test_functionals_bundle(self):
+        # what the spectrum dump reads from one decomposition at several etas
         dec = decompose(hermitize(small_matrix(n=8, seed=12), 0.1))
-        probes = [("p0", *np.eye(16, dtype=complex)[:2])]
-        fn = resolvent_functionals(dec, 0.5, probes)
-        assert fn.avg_trace.imag > 0
-        assert len(fn.iso_entries) == 1
-        assert np.isfinite(fn.log_det)
+        pair = np.eye(16, dtype=complex)[:, :2]
+        etas = [0.5, 0.1]
+        entries = isotropic_entries(dec, etas, pair[:, :1], pair[:, 1:])
+        assert entries.shape == (2, 1)
+        for row, eta in zip(entries, etas):
+            alone = isotropic_entries(dec, [eta], pair[:, :1], pair[:, 1:])[0, 0]
+            assert abs(row[0] - alone) <= 1e-14 * abs(alone)
+            # the dumped <G> is the diagonal of the block traces, bit for bit
+            assert partial_trace(dec, eta)[0, 0] == resolvent_trace(dec, eta)
+        assert log_abs_det(dec) == 2.0 * float(np.sum(np.log(dec.singular_values)))
+        assert log_abs_det(decompose(hermitize(np.diag([0.0, 1.0]), 0.0))) == -np.inf
+        with pytest.raises(ValueError):
+            isotropic_entries(dec, [0.1, 0.0], pair[:, :1], pair[:, 1:])
+        with pytest.raises(ValueError):
+            isotropic_entries(dec, etas, pair[:, :1], pair)
 
 
 class TestLogDet:
