@@ -95,24 +95,31 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown test function kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.isfinite(complex(self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
+        # NaN fails every comparison below
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if not (0.0 <= self.alpha < 0.5):
             raise ValueError(f"alpha must lie in [0, 1/2), got {self.alpha}")
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        if not 0.0 < self.a < np.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
+
+    def _radial(self, zeta, s: float, laplacian: bool):
+        """s^2 p, or s^4 Delta p / radius^2, at rho = s |zeta - center| / radius:
+        the base f (or its Laplacian) at s = 1, where each factor s is exact."""
+        rho = s * np.abs(np.asarray(zeta, dtype=complex) - self.center) / self.radius
+        if laplacian:
+            return s ** 4 * _PROFILES[self.kind][1](rho) / self.radius ** 2
+        return s ** 2 * _PROFILES[self.kind][0](rho)
 
     # base function f (no mesoscopic scaling)
 
     def f(self, zeta):
-        prof = _PROFILES[self.kind][0]
-        rho = np.abs(np.asarray(zeta, dtype=complex) - self.center) / self.radius
-        return prof(rho)
+        return self._radial(zeta, 1.0, laplacian=False)
 
     def laplacian(self, zeta):
-        lap = _PROFILES[self.kind][1]
-        rho = np.abs(np.asarray(zeta, dtype=complex) - self.center) / self.radius
-        return lap(rho) / self.radius ** 2
+        return self._radial(zeta, 1.0, laplacian=True)
 
     # mesoscopic observable f_{zeta0, alpha}
 
@@ -123,16 +130,10 @@ class TestFunction:
         return self.radius / self.scale(n)
 
     def observable(self, zeta, n: int):
-        s = self.scale(n)
-        prof = _PROFILES[self.kind][0]
-        rho = s * np.abs(np.asarray(zeta, dtype=complex) - self.center) / self.radius
-        return s ** 2 * prof(rho)
+        return self._radial(zeta, self.scale(n), laplacian=False)
 
     def observable_laplacian(self, zeta, n: int):
-        s = self.scale(n)
-        lap = _PROFILES[self.kind][1]
-        rho = s * np.abs(np.asarray(zeta, dtype=complex) - self.center) / self.radius
-        return s ** 4 * lap(rho) / self.radius ** 2
+        return self._radial(zeta, self.scale(n), laplacian=True)
 
     # norms of Delta f (of the base f; both scale simply under the
     # mesoscopic rescaling: ||Delta f_{z0,alpha}||_1 = n^{2 alpha} ||Delta f||_1)

@@ -47,12 +47,15 @@ EXIT_NUMERICAL = 3
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' (scientific notation allowed) into a complex."""
+    """Parse finite 'a+bi' / 'a-bi' (scientific notation allowed) into a complex."""
     cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number must be finite, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -582,7 +585,8 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, argparse.ArgumentTypeError) as exc:
+        # a config's zeta is parsed by parse_complex, outside argparse
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

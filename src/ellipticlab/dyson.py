@@ -255,7 +255,8 @@ def _solve_flat(z, e, rho, tol):
         v[blk], b[blk] = vk, bk
         res[blk] = _mde_residual(1j * vk, np.conj(bk), bk, zk, ek, rho)
 
-    if np.any(res > tol):
+    # a NaN residual fails `res <= tol`, so it raises too
+    if not np.all(res <= tol):
         worst = float(res.max())
         raise DysonConvergenceError(
             f"Dyson solver did not reach tol={tol:g} (worst residual {worst:.3e}); "
@@ -267,15 +268,21 @@ def solve_dyson_grid(zeta, eta, rho: float, tol: float = 1e-12):
     """Vectorized solve over broadcast (zeta, eta) arrays at fixed rho.
 
     Returns arrays (v, b, residual, iterations) in the broadcast shape.
+    Raises ValueError for a non-finite zeta, an eta below ETA_FLOOR or not
+    finite, and a tol that is not a positive finite number.
     """
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta < ETA_FLOOR):
-        raise ValueError(f"eta must be >= {ETA_FLOOR:g}")
+    if not np.isfinite(zeta).all():
+        raise ValueError("zeta must be finite")
+    # NaN fails both comparisons
+    if not ((eta >= ETA_FLOOR) & (eta < np.inf)).all():
+        raise ValueError(f"eta must be finite and >= {ETA_FLOOR:g}")
     zb, eb = np.broadcast_arrays(zeta, eta)
     shape = zb.shape
     v, b, res, iters = _solve_flat(zb.ravel(), eb.ravel(), float(rho), tol)

@@ -10,8 +10,10 @@ The sample-based experiments are the entries of one registry,
 sampled X it reads (`eig`, `eigvals`, the singular values of X - zeta, the
 one-eta resolvent G, with or without its four n x n blocks), builds what
 the trials at one n share (the Dyson solution, probes, test matrices,
-density integrals) once per n, turns one `TrialContext` into records, and
-summarizes its records.  `run_experiments` runs any set of entries over
+density integrals) once per n as a function of (grid, n, options), turns
+one `TrialContext` into records, and summarizes its records.  The spectral
+scale is eta = n^{-beta}, and iso-law reads 20 fixed probe pairs; neither
+is configurable.  `run_experiments` runs any set of entries over
 one pool of (n, trial) tasks; each samples X and factors it once, in
 `TrialContext.build`, for the union of the needs (`eig` covers `eigvals`),
 every entry reads that context, and it is dropped when the task ends.  G
@@ -59,6 +61,7 @@ from .spectral import (
     ResolventSolver,
     SelfEnergyData,
     SpectralDecomposition,
+    _probe_family,
     decompose,
     default_probes,
     default_test_matrices,
@@ -76,19 +79,16 @@ GIRKO_MAX_N = 256          # largest n the dense Girko quadrature accepts
 
 @dataclass(frozen=True)
 class EtaRule:
-    """Spectral scale eta = coefficient * n^{-beta}, beta in (0, 1)."""
+    """Spectral scale eta = n^{-beta}, beta in (0, 1)."""
 
     beta: float
-    coefficient: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.coefficient <= 0:
-            raise ValueError("coefficient must be positive")
 
     def eta(self, n: int) -> float:
-        return self.coefficient * float(n) ** (-self.beta)
+        return float(n) ** (-self.beta)
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ def _median_slope(xs, medians, n_values) -> float:
 
 def _grid_params(grid: ExperimentGrid) -> dict:
     return {
-        "n_values": list(grid.n_values), "zeta": str(grid.zeta),
-        "beta": grid.eta_rule.beta, "eta_coefficient": grid.eta_rule.coefficient,
+        "n_values": list(grid.n_values), "zeta": str(grid.zeta), "beta": grid.eta_rule.beta,
         "trials": grid.trials, "delta": grid.delta, "seed": grid.seed,
         "rho": grid.rho, "mu": grid.mu, "base": grid.base,
     }
@@ -321,21 +320,6 @@ class TrialContext:
         return ctx
 
 
-class _Setting:
-    """What the trials at one n share; the Dyson solution is solved on first use."""
-
-    def __init__(self, grid: ExperimentGrid, n: int):
-        self.grid, self.n = grid, n
-        self.eta = grid.eta_rule.eta(n)
-        self.spec = grid.ensemble_spec(n)
-
-    @functools.cached_property
-    def dyson(self) -> tuple:
-        """(v, b) of the Dyson solution at (zeta, eta)."""
-        v, b, _, _ = solve_dyson_grid(self.grid.zeta, self.eta, self.grid.rho)
-        return float(v), complex(b)
-
-
 @dataclass(frozen=True)
 class Experiment:
     """A registry entry: one sample-based experiment in four parts.
@@ -344,7 +328,7 @@ class Experiment:
                "svdvals" (of X - zeta), "resolvent" (the solver at the
                trial's zeta and eta) or "blocks" (the solver with G's
                blocks formed);
-    setup      (setting, **options) -> the state every trial at one n shares;
+    setup      (grid, n, **options) -> the state every trial at n shares;
     observe    (ctx, state) -> the records of one trial;
     summarize  (records, grid, state) -> the experiment's result, with the
                state of the grid's first n.
@@ -359,6 +343,12 @@ class Experiment:
     summarize: Callable
     single_n: bool = False
     first_trial_only: bool = False
+
+
+def _dyson(grid: ExperimentGrid, n: int) -> tuple:
+    """(v, b) of the Dyson solution at the grid's zeta and eta at n."""
+    v, b, _, _ = solve_dyson_grid(grid.zeta, grid.eta_rule.eta(n), grid.rho)
+    return float(v), complex(b)
 
 
 def _local_law_observe(ctx, v):
@@ -389,25 +379,26 @@ def _local_law_summary(records, grid, _state):
     return ExperimentReport("averaged_local_law", _grid_params(grid), records, summary)
 
 
-def _iso_law_setup(setting, n_pairs=20):
-    # the probes are the columns of one 2n x k block; pairs (i <= j) in row-major order
-    probes = np.stack([p for _, p in default_probes(2 * setting.n, seed=setting.grid.seed,
-                                                    k=2)], axis=1)
-    rows, cols = np.triu_indices(probes.shape[1])
-    if not 1 <= n_pairs <= rows.size:
-        raise ValueError(f"n_pairs must lie in 1..{rows.size}, got {n_pairs}")
-    return setting.dyson, probes, (rows[:n_pairs], cols[:n_pairs])
+# iso-law's probe pairs: the first 20 of the 21 pairs (i <= j) of its six
+# probes, in row-major order
+_ISO_PAIRS = tuple(index[:20] for index in np.triu_indices(6))
+
+
+def _iso_law_setup(grid, n):
+    # the probes are the columns of one 2n x 6 block
+    probes = np.stack([p for _, p in default_probes(2 * n, seed=grid.seed, k=2)], axis=1)
+    return _dyson(grid, n), probes
 
 
 def _iso_law_observe(ctx, state):
-    (v, b), probes, pairs = state
+    (v, b), probes = state
     n, eta, solver = ctx.n, ctx.eta, ctx.solver
     m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
     ph = probes.conj().T        # <x, G y> and <x, (m2 (x) I) y> for all probes x, y
     cross = ph[:, :n] @ probes[n:]
     pgp = ph @ solver.apply(probes)
     pmp = 1j * v * (ph @ probes) + np.conj(b) * cross + b * cross.conj().T
-    worst = float(np.abs(pgp - pmp)[pairs].max(initial=0.0))
+    worst = float(np.abs(pgp - pmp)[_ISO_PAIRS].max())
     envelope = n ** EPSILON_EXPONENT / np.sqrt(n * eta)
     ul = solver.partial_traces()
     avg_err = abs(solver.avg_trace() - 1j * v)
@@ -436,22 +427,14 @@ def _iso_law_summary(records, grid, _state):
 
 def deloc_probes(n: int, seed: int):
     """e1, the uniform and alternating unit vectors, and four seeded random units."""
-    e1 = np.zeros(n, dtype=complex); e1[0] = 1.0
-    uni = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    alt = np.array([(-1.0) ** i for i in range(n)], dtype=complex) / np.sqrt(n)
-    probes = [("e1", e1), ("uniform", uni), ("alternating", alt)]
-    rng = np.random.default_rng(seed)
-    for j in range(4):
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probes.append((f"rand{j}", g / np.linalg.norm(g)))
-    return probes
+    return _probe_family(n, (("e1", 0),), "rand", 4, seed)
 
 
-def _deloc_setup(setting, w_probes=None):
+def _deloc_setup(grid, n, w_probes=None):
     if w_probes is None:
-        w_probes = deloc_probes(setting.n, seed=setting.spec.seed)
+        w_probes = deloc_probes(n, seed=grid.seed)
     norms = np.array([np.linalg.norm(w) for _, w in w_probes])
-    return EllipseRegion(setting.grid.rho, setting.grid.delta), w_probes, norms
+    return EllipseRegion(grid.rho, grid.delta), w_probes, norms
 
 
 def _deloc_observe(ctx, state):
@@ -493,8 +476,7 @@ def _deloc_summary(records, grid, _state):
     return ExperimentReport("delocalisation", params, records, summary)
 
 
-def _linstats_setup(setting, tf):
-    n, grid = setting.n, setting.grid
+def _linstats_setup(grid, n, tf):
     tf.validate(n)
     rim = tf.center + tf.support_radius(n) * np.exp(1j * np.linspace(0, 2 * np.pi, 181))
     if not np.all(EllipseRegion(grid.rho, grid.delta).contains(rim)):
@@ -535,10 +517,10 @@ def _linstats_summary(records, grid, state):
     return ExperimentReport("linear_statistics", params, records, summary)
 
 
-def _ssv_setup(setting):
+def _ssv_setup(grid, n):
     """The dyadic scan n^{-0.9} * 2^k <= 1."""
     etas = []
-    eta = float(setting.n) ** (-0.9)
+    eta = float(n) ** (-0.9)
     while eta <= 1.0:
         etas.append(eta)
         eta *= 2.0
@@ -565,11 +547,10 @@ def _ssv_summary(records, grid, _state):
     return ExperimentReport("small_singular_scan", _grid_params(grid), records, summary)
 
 
-def _error_matrix_setup(setting):
+def _error_matrix_setup(grid, n):
     # the probes and test matrices are seeded, so every trial at one n shares them
-    n2 = 2 * setting.n
-    return (SelfEnergyData.from_spec(setting.spec), default_probes(n2, k=8),
-            default_test_matrices(n2))
+    return (SelfEnergyData.from_spec(grid.ensemble_spec(n)), default_probes(2 * n, k=8),
+            default_test_matrices(2 * n))
 
 
 def _error_matrix_observe(ctx, state):
@@ -596,7 +577,7 @@ def _error_matrix_summary(records, grid, _state):
 
 
 EXPERIMENTS = {
-    "local-law": Experiment(frozenset({"resolvent"}), lambda setting: setting.dyson[0],
+    "local-law": Experiment(frozenset({"resolvent"}), lambda grid, n: _dyson(grid, n)[0],
                             _local_law_observe, _local_law_summary),
     "iso-law": Experiment(frozenset({"resolvent"}), _iso_law_setup, _iso_law_observe,
                           _iso_law_summary),
@@ -609,9 +590,9 @@ EXPERIMENTS = {
                                _error_matrix_observe, _error_matrix_summary),
     # one DensityMap of trial 0, which is its own summary
     "density": Experiment(frozenset({"eigvals"}),
-                          lambda setting, grid_resolution=101: (setting.spec, grid_resolution),
-                          lambda ctx, state: [
-                              _density_from_eigenvalues(ctx.eigenvalues, *state)],
+                          lambda grid, n, grid_resolution=101: grid_resolution,
+                          lambda ctx, resolution: [_density_from_eigenvalues(
+                              ctx.eigenvalues, ctx.x.spec, resolution)],
                           lambda maps, grid, state: maps[0],
                           single_n=True, first_trial_only=True),
 }
@@ -639,9 +620,8 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     if single and len(grid.n_values) > 1:
         raise ValueError(f"{', '.join(single)}: takes one n value, got "
                          f"{len(grid.n_values)} in grid.n_values")
-    settings = {n: _Setting(grid, n) for n in grid.n_values}
     # each n's setup result, {name: state}, which tasks wait for after sampling
-    states = {n: Future() for n in settings}
+    states = {n: Future() for n in grid.n_values}
 
     def observers(trial):
         return [name for name, exp in chosen.items()
@@ -662,9 +642,9 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     with _SINGLE_THREADED_BLAS, ThreadPoolExecutor(max_workers=threads) as pool:
         pending = [pool.submit(run, key) for key in tasks]
         try:
-            for n, setting in settings.items():
-                states[n].set_result({name: exp.setup(setting, **requests[name])
-                                      for name, exp in chosen.items()})
+            for n, future in states.items():
+                future.set_result({name: exp.setup(grid, n, **requests[name])
+                                   for name, exp in chosen.items()})
             batches = [task.result() for task in pending]
         finally:
             # after a failure: first drop the tasks not started, then
@@ -690,10 +670,9 @@ def averaged_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentRepo
     return run_experiments(grid, {"local-law": {}}, threads)["local-law"]
 
 
-def isotropic_local_law(grid: ExperimentGrid, n_pairs: int = 20,
-                        threads: int = 1) -> ExperimentReport:
-    """max over probe pairs of |<x, (G - M) y>| against n^eps/sqrt(n eta)."""
-    return run_experiments(grid, {"iso-law": {"n_pairs": n_pairs}}, threads)["iso-law"]
+def isotropic_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentReport:
+    """max over 20 probe pairs of |<x, (G - M) y>| against n^eps/sqrt(n eta)."""
+    return run_experiments(grid, {"iso-law": {}}, threads)["iso-law"]
 
 
 def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
@@ -851,7 +830,8 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     node from one Hessenberg reduction X = Q H Q^H, done once, and Hyman's
     method on each irreducible block of H in O(n^2) per node.  So the right
     side shares its first step, the Hessenberg reduction, with LAPACK's
-    `eigvals` on the left; the tests keep `slogdet` (LU) as an independent
+    `eigvals` on the left, read through `_eig` as for every sampled X
+    (`dgeev` for a real X); the tests keep `slogdet` (LU) as an independent
     oracle for the determinants.  Only the nodes where Delta f is nonzero
     go to the determinant: elsewhere (off the bump's support, such as the
     box's corners) the value is exactly 0, as 0 times any finite log|det|.
@@ -866,7 +846,7 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     if n > GIRKO_MAX_N:
         raise ValueError(
             f"girko_consistency is a dense-quadrature check; need n <= {GIRKO_MAX_N}")
-    eigs = np.linalg.eigvals(a)
+    eigs = _eig(a, vectors=False)
     lhs = float(np.mean(np.real(tf.f(eigs))))
 
     r0 = _EXCLUSION_RADIUS

@@ -65,8 +65,9 @@ def _simpson_log(zeta_flat, rho, lo, hi, quad_tol):
 def log_potential_grid(zeta, param: EllipticParam, quad_tol: float = 1e-6,
                        eps: float = 0.0):
     """L_eps(zeta) on an array of zeta values (eps=0 gives L itself)."""
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
+    quad_tol = float(quad_tol)
+    if not 0.0 < quad_tol < np.inf:
+        raise ValueError(f"quad_tol must be a positive finite number, got {quad_tol!r}")
     if eps < 0 or eps >= ETA_MAX:
         raise ValueError(f"eps must lie in [0, {ETA_MAX:g})")
     zeta = np.asarray(zeta, dtype=complex)

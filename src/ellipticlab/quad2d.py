@@ -45,16 +45,17 @@ def adaptive_quad2d(func, box, tol, max_depth: int = 14, max_cells: int = 2_000_
     """Integrate func over box = (x0, x1, y0, y1).
 
     func maps a complex ndarray of points to real values, vectorized.
-    Returns (integral, error_estimate).  Raises ValueError for a box without
-    positive area or a tol that is not a positive finite number, before any
+    Returns (integral, error_estimate).  Raises ValueError for a box with a
+    non-finite corner or without positive area, or a tol that is not a
+    positive finite number, before any
     call of func; raises QuadratureError when the cell budget is exhausted,
     or when cells accepted at max_depth leave the summed error estimate
     above tol.
     """
     bx0, bx1, by0, by1 = map(float, box)
     total_area = (bx1 - bx0) * (by1 - by0)
-    if total_area <= 0:
-        raise ValueError("box must have positive area")
+    if not (np.isfinite([bx0, bx1, by0, by1]).all() and total_area > 0):
+        raise ValueError(f"box must have finite corners and positive area, got {box}")
     tol = float(tol)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")

@@ -182,24 +182,25 @@ def log_det_check(dec: SpectralDecomposition, t_cut: float) -> tuple[float, floa
     return lhs, rhs
 
 
+def _probe_family(dim: int, coordinates, prefix: str, k: int,
+                  seed: int) -> list[tuple[str, np.ndarray]]:
+    """Unit vectors of C^dim: a coordinate vector per (label, index), the uniform
+    and alternating vectors, then k seeded Haar-random units labelled prefix + j."""
+    out = [(label, np.eye(1, dim, index, dtype=complex)[0]) for label, index in coordinates]
+    out += [("uniform", np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)),
+            ("alternating", np.resize([1.0 + 0j, -1.0 + 0j], dim) / np.sqrt(dim))]
+    rng = np.random.default_rng(seed)
+    for j in range(k):
+        g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        out.append((f"{prefix}{j}", g / np.linalg.norm(g)))
+    return out
+
+
 def default_probes(n2: int, seed: int = 0, k: int = 16) -> list[tuple[str, np.ndarray]]:
     """Fixed probe family: coordinate, uniform, alternating, Haar-random units."""
     if n2 % 2:
         raise ValueError("probe dimension must be even (2n)")
-    n = n2 // 2
-    out = []
-    e1 = np.zeros(n2, dtype=complex); e1[0] = 1.0
-    en1 = np.zeros(n2, dtype=complex); en1[n] = 1.0
-    out.append(("e1", e1))
-    out.append(("e_n+1", en1))
-    out.append(("uniform", np.full(n2, 1.0 / np.sqrt(n2), dtype=complex)))
-    alt = np.array([(-1.0) ** i for i in range(n2)], dtype=complex) / np.sqrt(n2)
-    out.append(("alternating", alt))
-    rng = np.random.default_rng(seed)
-    for j in range(k):
-        g = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-        out.append((f"haar{j}", g / np.linalg.norm(g)))
-    return out
+    return _probe_family(n2, (("e1", 0), ("e_n+1", n2 // 2)), "haar", k, seed)
 
 
 @dataclass(frozen=True)

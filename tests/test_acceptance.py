@@ -210,7 +210,7 @@ def local_laws():
                           eta_rule=EtaRule(0.75), trials=20, delta=0.1,
                           seed=1, rho=0.5)
     start = time.time()
-    reps = run_experiments(grid, {"local-law": {}, "iso-law": {"n_pairs": 20}}, threads=2)
+    reps = run_experiments(grid, {"local-law": {}, "iso-law": {}}, threads=2)
     reps["local-law"].summary["runtime_s"] = time.time() - start
     return reps
 

@@ -96,6 +96,22 @@ class TestBumps:
             Bump(radius=0.0)
         Bump().validate(256)  # smooth bump on the unit disk passes
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", complex(np.nan, 0.0)), ("center", complex(0.0, np.inf)),
+        ("radius", np.nan), ("radius", np.inf), ("a", np.nan), ("a", np.inf),
+    ], ids=["center-nan", "center-inf", "radius-nan", "radius-inf", "a-nan", "a-inf"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Bump(**{field: value})
+
+    @pytest.mark.parametrize("kind", ["polynomial-bump", "gaussian-bump"])
+    def test_observable_at_alpha_zero_is_f(self, kind):
+        # n^0 = 1 scales exactly, so the two paths agree bit for bit
+        tf = Bump(kind=kind, center=0.2 - 0.1j, radius=0.7)
+        z = np.array([1.0, 1j]) @ np.random.default_rng(3).uniform(-1, 1, (2, 50))
+        assert np.array_equal(tf.observable(z, 256), tf.f(z))
+        assert np.array_equal(tf.observable_laplacian(z, 256), tf.laplacian(z))
+
 
 class TestQuad2d:
     def test_separable_polynomial(self):
@@ -183,6 +199,19 @@ class TestQuad2d:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad2d(lambda p: np.ones_like(p.real), (0, 0, 0, 1), tol=1e-6)
+
+    @pytest.mark.parametrize("box", [(0.0, np.nan, 0.0, 1.0), (0.0, 1.0, -np.inf, 1.0),
+                                     (-np.inf, np.inf, 0.0, 1.0)],
+                             ids=["nan", "minus-inf", "both-inf"])
+    def test_non_finite_box_rejected(self, box):
+        calls = []
+
+        def func(p):
+            calls.append(p.size)
+            return np.ones_like(p.real)
+        with pytest.raises(ValueError, match="finite corners"):
+            adaptive_quad2d(func, box, tol=1e-6)
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_tol_not_positive_finite_rejected(self, tol):

@@ -140,6 +140,32 @@ class TestParsing:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["log-potential", "--zeta", "nan", "--rho", "0.5"],
+        ["log-potential", "--zeta", "0", "--rho", "0.5", "--quad-tol", "inf"],
+        ["log-potential", "--zeta", "0", "--rho", "0.5", "--quad-tol", "nan"],
+        ["spectrum", "--n", "4", "--rho", "0.5", "--zeta", "nan", "--eta", "0.1"],
+        ["girko-check", "--n", "8", "--zeta", "nan"],
+        ["girko-check", "--n", "8", "--radius", "nan"],
+        ["girko-check", "--n", "8", "--radius", "inf"],
+    ], ids=["potential-zeta", "potential-quad-tol-inf", "potential-quad-tol-nan",
+            "spectrum-zeta", "girko-zeta", "girko-radius-nan", "girko-radius-inf"])
+    def test_non_finite_input_exits_two(self, argv, tmp_path, capsys, monkeypatch):
+        # rejected before any work: one error line, nothing printed or written
+        monkeypatch.chdir(tmp_path)
+        started = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert time.perf_counter() - started < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error" in line]) == 1
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
+
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -317,7 +343,7 @@ class TestExperiments:
         assert rc == 0
         assert out["discrepancy"] <= 1e-3
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_girko_check_bad_quad_tol_exits_two(self, tol, capsys):
         assert main(["girko-check", "--n", "12", f"--quad-tol={tol}"]) == 2
         assert capsys.readouterr().out == ""
@@ -400,6 +426,17 @@ class TestExperimentConfig:
         assert (tmp_path / "flag" / report).exists()
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
             "cfg", "env", "flag"]
+
+    @pytest.mark.parametrize("zeta", ["abc", "nan", "1+nani"])
+    def test_bad_zeta_exits_two(self, zeta, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._mini_config(tmp_path / "bad.json", output_dir=str(out),
+                                grid={"n_values": [32], "zeta": zeta, "trials": 1})
+        assert main(["experiment", cfg]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and repr(zeta) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["deloc", "density"])
     def test_single_n_experiments_reject_several_n(self, experiment, tmp_path, capsys):

@@ -19,6 +19,7 @@ from ellipticlab import (
     v_equation_residual,
     v_limit_bulk,
 )
+from ellipticlab import dyson
 from ellipticlab.dyson import _MAX_STEPS
 
 
@@ -189,6 +190,35 @@ class TestValidationAndErrors:
         with pytest.raises(DysonConvergenceError):
             solve_dyson(SpectralPoint(9.0 + 3.0j, 1e-6), EllipticParam(0.5),
                         tol=1e-18)
+
+    @pytest.mark.parametrize("zeta, eta, rho, tol", [
+        (complex(np.nan, 0.0), 1.0, 0.5, 1e-12),
+        (complex(0.0, np.inf), 1.0, 0.5, 1e-12),
+        (0.0, np.nan, 0.5, 1e-12),
+        (0.0, np.inf, 0.5, 1e-12),
+        (0.0, np.array([1.0, np.nan]), 0.5, 1e-12),
+        (0.0, 1.0, np.nan, 1e-12),
+        (0.0, 1.0, 0.5, np.nan),
+        (0.0, 1.0, 0.5, np.inf),
+        (0.0, 1.0, 0.5, 0.0),
+    ], ids=["zeta-nan", "zeta-inf", "eta-nan", "eta-inf", "eta-nan-in-array", "rho-nan",
+            "tol-nan", "tol-inf", "tol-zero"])
+    def test_non_finite_input_rejected(self, zeta, eta, rho, tol):
+        # each would otherwise return NaN or pass the residual gate unchecked
+        with pytest.raises(ValueError):
+            solve_dyson_grid(zeta, eta, rho, tol=tol)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        # the gate asks all(res <= tol), which a NaN residual fails
+        residual = dyson._mde_residual
+
+        def nan_at_first_point(*args):
+            res = residual(*args)
+            res[0] = np.nan
+            return res
+        monkeypatch.setattr(dyson, "_mde_residual", nan_at_first_point)
+        with pytest.raises(DysonConvergenceError, match="nan"):
+            solve_dyson_grid(np.array([0.1, 0.2]), 0.5, 0.5)
 
     def test_grid_shapes(self):
         zs = np.array([[0.1, 0.2 + 0.1j], [0.0, -0.3j]])

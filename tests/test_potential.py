@@ -15,6 +15,7 @@ from ellipticlab import (
     solve_dyson_grid,
 )
 from ellipticlab import TestFunction as Bump
+from ellipticlab import potential
 from ellipticlab.quad2d import QuadratureError
 
 
@@ -157,6 +158,16 @@ def test_distributional_check_rejects_nonbulk_support():
     psi = Bump(center=1.4 + 0.0j, radius=0.5)
     with pytest.raises(ValueError):
         distributional_check(psi, EllipticParam(0.5))
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, np.nan, np.inf])
+def test_quad_tol_not_positive_finite_rejected(quad_tol, monkeypatch):
+    # inf would stop after one grid doubling, nan run to the node cap
+    solves = []
+    monkeypatch.setattr(potential, "solve_dyson_grid", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="quad_tol"):
+        log_potential(0.0, EllipticParam(0.5), quad_tol=quad_tol)
+    assert solves == []
 
 
 def test_quad_tol_validation():
