@@ -291,6 +291,9 @@ def _config_girko(grid, cfg):
         raise ValueError(f"girko-check: girko_n must be <= {harness.GIRKO_MAX_N}, "
                          f"got {spec.n}")
     gate = cfg.get("girko_gate", 1e-3)
+    # json.loads accepts NaN and Infinity; nan fails both comparisons
+    if not 0.0 < gate < float("inf"):
+        raise ValueError(f"girko-check: girko_gate must be positive and finite, got {gate}")
     tf = TestFunction(center=grid.zeta, radius=0.5)
     return lambda: _girko_check(spec, tf, gate, quad_tol=1e-4)
 
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
                    default="gaussian")
-    p.add_argument("--trial", type=int, default=0)
+    p.add_argument("--trial", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     _add_output(p, report=False)
     _add_seed(p)
@@ -552,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
                    default="polynomial-bump")
     p.add_argument("--quad-tol", type=float, default=1e-4)
-    p.add_argument("--gate", type=float, default=1e-3)
+    p.add_argument("--gate", type=_positive_float, default=1e-3)
     p.set_defaults(func=cmd_girko)
 
     # mc-check prints its result and writes nothing

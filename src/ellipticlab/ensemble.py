@@ -92,8 +92,12 @@ def rng_policy(seed: int, trial_index: int = 0, entry_index: int = 0) -> np.rand
 
     The trial and entry indices are placed in the high words of the Philox
     counter, so each substream has 2^128 draws of headroom and identical
-    output no matter in which order the substreams are consumed.
+    output no matter in which order the substreams are consumed.  Both
+    indices must be non-negative.
     """
+    if trial_index < 0 or entry_index < 0:
+        raise ValueError(f"trial and entry indices must be >= 0, got {trial_index}, "
+                         f"{entry_index}")
     bitgen = np.random.Philox(key=[int(seed), _KEY_SALT],
                               counter=[0, 0, int(entry_index), int(trial_index)])
     return np.random.Generator(bitgen)

@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -61,6 +59,7 @@ from .spectral import (
     ResolventSolver,
     SelfEnergyData,
     SpectralDecomposition,
+    _openblas,
     _probe_family,
     decompose,
     default_probes,
@@ -193,9 +192,7 @@ def _bundled_openblas() -> tuple:
     """
     controls = []
     for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
-        libdir = Path(importlib.import_module(pkg).__file__).resolve().parent.parent
-        for path in sorted((libdir / f"{pkg}.libs").glob("libscipy_openblas*.so")):
-            lib = ctypes.CDLL(str(path))
+        for lib in _openblas(pkg):
             try:
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
                 set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")

@@ -8,13 +8,24 @@ each eta then costs O(n), or O(nk) for k probe pairs; with f = 1/(S^2 + eta^2):
     G21 = V (S f) U^H        G22 = V (i eta f) V^H
 
 `ResolventSolver` holds G at one (zeta, eta) from n x n inverses for the local
-laws and the error matrix; the SVD form above is its test reference.
+laws and the error matrix; the SVD form above is its test reference.  Each
+inverse is of a Hermitian positive definite Gram matrix.  Where numpy ships
+its own OpenBLAS, `zherk` forms it and `zpotrf` + `zpotri` invert it, called
+through ctypes, which releases the GIL, so trials in a thread pool factor in
+parallel; on a numpy built against a system BLAS a GEMM and `inv` do it.
+
+The error norm's random test matrices are a function of 2n alone; their
+power-estimated 2-norms are kept per 2n (four floats), so later calls at one
+size redraw only the normals.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -283,24 +294,102 @@ BLOCK_TESTS = {
 }
 
 
+# 2n -> the four divisors of default_test_matrices(2n); scalars, never the matrices
+_TEST_MATRIX_SCALES: dict = {}
+
+
 def default_test_matrices(n2: int):
     """The four random test matrices of the averaged error norm, from seed 1.
 
     Each is divided by a 40-step power estimate of its 2-norm (a lower bound,
     so the norms end slightly above 1) and stored Fortran-ordered, so that
-    B^T, which `error_matrix_norms` dots with D, is contiguous.  The four
-    block tests of `BLOCK_TESTS` need no matrix: their traces come from D's
-    block traces.
+    B^T, which `error_matrix_norms` dots with D, is contiguous.  The estimates
+    are taken on the first call at each 2n and kept in `_TEST_MATRIX_SCALES`;
+    a later call redraws the normals and divides by the kept scales, which
+    gives the same bytes.  The four block tests of `BLOCK_TESTS` need no
+    matrix: their traces come from D's block traces.
     """
+    known = _TEST_MATRIX_SCALES.get(n2)
     rng = np.random.default_rng(1)
-    mats = []
+    mats, scales = [], []
     for j in range(4):
         g = np.empty((n2, n2), dtype=complex)
         g.real = rng.standard_normal((n2, n2))
         g.imag = rng.standard_normal((n2, n2))
-        g /= _spectral_norm_estimate(g) * (1.0 + 1e-9)
+        scales.append(known[j] if known else _spectral_norm_estimate(g) * (1.0 + 1e-9))
+        g /= scales[j]
         mats.append((f"rand{j}", np.asfortranarray(g)))
+    _TEST_MATRIX_SCALES[n2] = tuple(scales)
     return mats
+
+
+@functools.cache
+def _openblas(pkg: str) -> tuple:
+    """The OpenBLAS libraries bundled with `pkg` ("numpy" or "scipy"), opened on
+    the first call; empty for a build against a system BLAS."""
+    libdir = Path(importlib.import_module(pkg).__file__).resolve().parent.parent
+    return tuple(ctypes.CDLL(str(path))
+                 for path in sorted((libdir / f"{pkg}.libs").glob("libscipy_openblas*.so")))
+
+
+@functools.cache
+def _hermitian_lapack(libs: tuple):
+    """zherk, zpotrf and zpotri (64-bit integers) from the first of `libs` that
+    exports them, or None."""
+    # Fortran: every argument by reference, then a hidden length per character one
+    char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    signatures = {"zherk": [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size],
+                  "zpotrf": [char, i64, ptr, i64, i64, size],
+                  "zpotri": [char, i64, ptr, i64, i64, size]}
+    for lib in libs:
+        try:
+            routines = [getattr(lib, f"scipy_{name}_64_") for name in signatures]
+        except AttributeError:
+            continue
+        for routine, argtypes in zip(routines, signatures.values()):
+            routine.argtypes, routine.restype = argtypes, None
+        return tuple(routines)
+    return None
+
+
+def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarray:
+    """(A A^H + eta^2)^{-1}, or (A^H A + eta^2)^{-1} with `adjoint`, for an n x n A.
+
+    On numpy's bundled OpenBLAS: `zherk` forms one triangle of the Gram,
+    `zpotrf` + `zpotri` invert it in place, and the other triangle is filled
+    by conjugation, so the result is exactly Hermitian.  A non-positive
+    `zpotrf` pivot raises LinAlgError.  Without that library: a GEMM and `inv`.
+    """
+    n = a.shape[0]
+    lapack = _hermitian_lapack(_openblas("numpy"))
+    if lapack is None:
+        gram = a.conj().T @ a if adjoint else a @ a.conj().T
+        gram[np.diag_indices(n)] += eta ** 2
+        return np.linalg.inv(gram)
+    herk, potrf, potri = lapack
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.shape != (n, n):
+        raise ValueError(f"A must be square, got shape {a.shape}")
+    # herk with beta = 0 ignores C's contents; zeros leave nothing stale in either triangle
+    out = np.zeros((n, n), dtype=complex)
+    dim, info, one = ctypes.c_int64(n), ctypes.c_int64(0), ctypes.c_size_t(1)
+    ref = ctypes.byref
+    # LAPACK reads a C-ordered matrix as its transpose: trans "C" forms
+    # conj(A A^H) = (A A^H)^T, i.e. A A^H in C order, and its "L" triangle is
+    # our upper one
+    herk(b"L", b"N" if adjoint else b"C", ref(dim), ref(dim), ref(ctypes.c_double(1.0)),
+         a.ctypes.data, ref(dim), ref(ctypes.c_double(0.0)), out.ctypes.data, ref(dim),
+         one, one)
+    out[np.diag_indices(n)] += eta ** 2
+    for routine in (potrf, potri):
+        routine(b"L", ref(dim), out.ctypes.data, ref(dim), ref(info), one)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"Gram matrix of X - zeta not positive definite at eta={eta} "
+                f"(LAPACK info {info.value})")
+    np.copyto(out, out.T.conj(), where=np.tri(n, k=-1, dtype=bool))
+    return out
 
 
 class ResolventSolver:
@@ -310,8 +399,10 @@ class ResolventSolver:
     G21 = G12^H, G22 = i eta (A^H A + eta^2)^{-1}, and G y for y = (y1, y2)
     is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.  `blocks` inverts
     A^H A + eta^2 for G22 instead of forming (i/eta)(I - A^H W A), which
-    cancels as w2 does.  Each inverse is n x n and Hermitian, so one eta
-    costs less than a 2n x 2n factorization or a full decomposition.
+    cancels as w2 does.  Each inverse is of an n x n Hermitian positive
+    definite Gram matrix (`_gram_inverse`: Cholesky on numpy's bundled
+    OpenBLAS outside the GIL, else a GEMM and `inv`), so one eta costs less
+    than a 2n x 2n factorization or a full decomposition.
     """
 
     def __init__(self, x, zeta: complex, eta: float):
@@ -321,9 +412,7 @@ class ResolventSolver:
         self.a = a
         self.eta = float(eta)
         self.n = a.shape[0]
-        gram = a @ a.conj().T
-        gram[np.diag_indices(self.n)] += eta ** 2
-        self.w = np.linalg.inv(gram)
+        self.w = _gram_inverse(a, self.eta)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """G y for a 2n vector y, or G Y for a 2n x k block Y, column by column.
@@ -341,10 +430,9 @@ class ResolventSolver:
     def blocks(self) -> tuple:
         """The n x n blocks (G11, G12, G21, G22) of G; G21 = G12^H costs no product."""
         a, eta = self.a, self.eta
-        gram = a.conj().T @ a
-        gram[np.diag_indices(self.n)] += eta ** 2
         g12 = self.w @ a
-        return 1j * eta * self.w, g12, g12.conj().T, 1j * eta * np.linalg.inv(gram)
+        return (1j * eta * self.w, g12, g12.conj().T,
+                1j * eta * _gram_inverse(a, eta, adjoint=True))
 
     def avg_trace(self) -> complex:
         # tr W is real: dropping its rounding-level imaginary part keeps <G> imaginary

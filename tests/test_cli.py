@@ -12,6 +12,7 @@ from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, En
 from ellipticlab import EtaRule, ExperimentGrid, harness
 from ellipticlab import TestFunction as Bump
 from ellipticlab.cli import build_parser, main, parse_complex
+from ellipticlab import spectral
 from ellipticlab.spectral import default_probes
 
 
@@ -148,8 +149,12 @@ class TestParsing:
         ["girko-check", "--n", "8", "--zeta", "nan"],
         ["girko-check", "--n", "8", "--radius", "nan"],
         ["girko-check", "--n", "8", "--radius", "inf"],
+        ["girko-check", "--n", "8", "--gate", "nan"],
+        ["girko-check", "--n", "8", "--gate", "-1"],
+        ["sample", "--n", "4", "--rho", "0.5", "--trial", "-1"],
     ], ids=["potential-zeta", "potential-quad-tol-inf", "potential-quad-tol-nan",
-            "spectrum-zeta", "girko-zeta", "girko-radius-nan", "girko-radius-inf"])
+            "spectrum-zeta", "girko-zeta", "girko-radius-nan", "girko-radius-inf",
+            "girko-gate-nan", "girko-gate-negative", "sample-trial-negative"])
     def test_non_finite_input_exits_two(self, argv, tmp_path, capsys, monkeypatch):
         # rejected before any work: one error line, nothing printed or written
         monkeypatch.chdir(tmp_path)
@@ -453,7 +458,9 @@ class TestExperimentConfig:
         ({"girko_n": 512}, "girko_n"),
         ({"experiments": ["local-law", "frobnicate"]}, "frobnicate"),
         ({"experiments": ["local-law", "mc-check"], "mc_reps": 0}, "mc_reps"),
-    ], ids=["girko_n", "unknown", "mc_reps"])
+        ({"girko_gate": float("nan")}, "girko_gate"),
+        ({"girko_gate": -1}, "girko_gate"),
+    ], ids=["girko_n", "unknown", "mc_reps", "girko_gate-nan", "girko_gate-negative"])
     def test_config_checked_before_anything_runs(self, extra, message, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self._mini_config(tmp_path / "bad.json", output_dir=str(out),
@@ -521,6 +528,22 @@ class TestExperimentConfig:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert main(["experiment", str(tmp_path / "cfg.json")]) == 2
         assert section in capsys.readouterr().err
+
+    def test_failed_factor_exits_three(self, tmp_path, capsys, monkeypatch):
+        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+            pytest.skip("numpy ships no OpenBLAS here")
+        herk, potrf, potri = spectral._hermitian_lapack(spectral._openblas("numpy"))
+
+        def failing_potrf(*args):
+            potrf(*args)
+            args[4]._obj.value = 1      # info > 0: not positive definite
+        monkeypatch.setattr(spectral, "_hermitian_lapack",
+                            lambda libs: (herk, failing_potrf, potri))
+        cfg = self._mini_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+        assert main(["experiment", cfg, "--threads", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "not positive definite" in captured.err
+        assert captured.out == ""
 
     def test_bundled_smoke_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -603,7 +626,7 @@ class TestSharedTrialContexts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"sample": [], "eig": [], "eigvals": [], "svd": [], "inv": []}
+        seen = {"sample": [], "eig": [], "eigvals": [], "svd": [], "gram": []}
 
         def counted(name, fn, key=lambda *a, **k: None):
             def wrapper(*args, **kwargs):
@@ -619,7 +642,9 @@ class TestSharedTrialContexts:
             "eigvals", np.linalg.eigvals, lambda a: a.dtype))
         monkeypatch.setattr(np.linalg, "svd", counted(
             "svd", np.linalg.svd, lambda a, full_matrices=True, compute_uv=True, **_: compute_uv))
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv, lambda a: a.shape))
+        # every n x n factor of the resolvent goes through one Gram inverse
+        monkeypatch.setattr(spectral, "_gram_inverse", counted(
+            "gram", spectral._gram_inverse, lambda a, eta, adjoint=False: a.shape))
         return seen
 
     @pytest.mark.parametrize("n", [64, 128])
@@ -633,7 +658,7 @@ class TestSharedTrialContexts:
         assert calls["svd"] == [False] * 3
         # and one resolvent solver serves local-law, iso-law and error-matrix: the
         # inverse of (X - zeta)(X - zeta)^H + eta^2, and error-matrix's G22
-        assert calls["inv"] == [(n, n)] * 6
+        assert calls["gram"] == [(n, n)] * 6
         assert len(list(out.glob("*.jsonl"))) == len(POOLED)
 
     def test_density_samples_trial_zero_only(self, calls, tmp_path):

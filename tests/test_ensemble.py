@@ -48,6 +48,15 @@ class TestReproducibility:
         b = rng_policy(9, 0, 1).standard_normal(100)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("trial, entry", [(-1, 0), (0, -1)])
+    def test_negative_index_rejected(self, trial, entry):
+        # a negative index would wrap in the uint64 Philox counter
+        with pytest.raises(ValueError, match="must be >= 0"):
+            rng_policy(9, trial, entry)
+        if entry == 0:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                sample(gaussian_spec(n=4), trial)
+
 
 class TestGaussianMoments:
     @pytest.mark.parametrize("rho,mu", [(0.5, 1.0), (0.5, 0.5), (-0.7, 1.0),

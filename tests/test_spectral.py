@@ -40,6 +40,17 @@ def dense_resolvent(dec_input, zeta, eta):
     return np.linalg.inv(h - 1j * eta * np.eye(h.shape[0]))
 
 
+def gram_routes(monkeypatch):
+    """Yield "openblas" (where numpy ships one), then "fallback", the GEMM + `inv`
+    route of a numpy built against a system BLAS; the caller's loop body runs
+    its Gram inverses on the route yielded, and the fallback stays for the rest
+    of the test."""
+    if spectral._hermitian_lapack(spectral._openblas("numpy")) is not None:
+        yield "openblas"
+    monkeypatch.setattr(spectral, "_openblas", lambda pkg: ())
+    yield "fallback"
+
+
 class TestHermitization:
     def test_trivial_block(self):
         h = hermitize(np.zeros((1, 1)), 1.0)
@@ -268,17 +279,84 @@ class TestResolventSolver:
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-12])
-    @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0])
-    def test_blocks_match_the_svd_formula(self, n, eta, zeta):
+    @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0, 1e3])
+    def test_blocks_match_the_svd_formula(self, n, eta, zeta, monkeypatch):
         # G22 from its own inverse: (i/eta)(I - A^H W A) cancels at small eta
         mat = small_matrix(n=n, seed=9, rho=0.4, mu=0.7)
         u, s, vh = np.linalg.svd(mat.entries - zeta * np.eye(n))
         v, f = vh.conj().T, 1.0 / (s ** 2 + eta ** 2)
-        oracle = [(u * (1j * eta * f)) @ u.conj().T, (u * (s * f)) @ vh,
-                  (v * (s * f)) @ u.conj().T, (v * (1j * eta * f)) @ vh]
-        blocks = ResolventSolver(mat.entries, zeta, eta).blocks
-        for label, block, want in zip(("G11", "G12", "G21", "G22"), blocks, oracle):
-            assert np.max(np.abs(block - want)) <= 1e-10 * np.max(np.abs(want)), label
+        oracle = [(u * f) @ u.conj().T, (u * (1j * eta * f)) @ u.conj().T,
+                  (u * (s * f)) @ vh, (v * (s * f)) @ u.conj().T, (v * (1j * eta * f)) @ vh]
+        for route in gram_routes(monkeypatch):
+            solver = ResolventSolver(mat.entries, zeta, eta)
+            for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
+                                          (solver.w, *solver.blocks), oracle):
+                assert np.max(np.abs(block - want)) <= 1e-10 * np.max(np.abs(want)), \
+                    (route, label)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-12])
+    @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0, 1e3])
+    def test_factor_matches_the_dense_inverse(self, n, eta, zeta, monkeypatch):
+        # errors in units of the dense inverse's own: eps cond(H - i eta) max|G|
+        mat = small_matrix(n=n, seed=9, rho=0.4, mu=0.7)
+        g = dense_resolvent(mat, zeta, eta)
+        s = np.linalg.svd(mat.entries - zeta * np.eye(n), compute_uv=False)
+        g_max = 1.0 / np.hypot(s[-1], eta)
+        unit = np.finfo(float).eps * np.hypot(s[0], eta) * g_max ** 2
+        dense = [g[:n, :n] / (1j * eta), g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]]
+        y = np.random.default_rng(2).standard_normal((2 * n, 3)) + 0j
+        for route in gram_routes(monkeypatch):
+            solver = ResolventSolver(mat.entries, zeta, eta)
+            for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
+                                          (solver.w, *solver.blocks), dense):
+                # W is G11 / (i eta), so the oracle's error grows by 1 / eta
+                scale = unit / eta if label == "W" else unit
+                assert np.max(np.abs(block - want)) <= 16 * scale, (route, label)
+            err = np.abs(solver.apply(y) - g @ y)
+            assert err[:n].max() <= 16 * unit * np.abs(y).max(), route
+            # w2 = -i (A^H w1 - y2) / eta cancels as sigma_max / eta grows (the
+            # `apply` docstring); `blocks` is the accurate route there
+            assert err[n:].max() <= 16 * unit * np.abs(y).max() * (1 + s[0] / eta), route
+
+    def test_routes_agree_and_the_fallback_calls_inv(self, monkeypatch):
+        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+            pytest.skip("numpy ships no OpenBLAS here")
+        mat = small_matrix(n=48, seed=4)
+        inv_calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv_calls.append(a.shape) or inv(a))
+        lapack = ResolventSolver(mat.entries, 0.1, 0.05)
+        lapack_blocks = lapack.blocks
+        assert inv_calls == []
+        monkeypatch.setattr(spectral, "_openblas", lambda pkg: ())
+        fallback = ResolventSolver(mat.entries, 0.1, 0.05)
+        assert inv_calls == [(48, 48)]
+        for got, want in zip((lapack.w, *lapack_blocks), (fallback.w, *fallback.blocks)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert inv_calls == [(48, 48)] * 2
+        # the filled triangle makes W exactly Hermitian
+        assert np.array_equal(lapack.w, lapack.w.conj().T)
+        assert lapack.avg_trace().real == 0.0
+
+    def test_singular_gram_raises(self, monkeypatch):
+        # eta^2 underflows to 0, so the Gram of A = 0 is exactly singular
+        for _ in gram_routes(monkeypatch):
+            with pytest.raises(np.linalg.LinAlgError):
+                ResolventSolver(np.zeros((3, 3)), 0.0, 1e-170)
+
+    def test_a_failed_cholesky_raises(self, monkeypatch):
+        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+            pytest.skip("numpy ships no OpenBLAS here")
+        herk, potrf, potri = spectral._hermitian_lapack(spectral._openblas("numpy"))
+
+        def failing_potrf(*args):
+            potrf(*args)
+            args[4]._obj.value = 2      # info: the leading minor of order 2 is not positive
+        monkeypatch.setattr(spectral, "_hermitian_lapack",
+                            lambda libs: (herk, failing_potrf, potri))
+        with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+            ResolventSolver(small_matrix(n=8).entries, 0.0, 0.1)
 
 
 class TestErrorMatrix:
@@ -400,6 +478,39 @@ class TestAveragedErrorNorm:
         assert [label for label, _ in got] == ["rand0", "rand1", "rand2", "rand3"]
         for (_, b), w in zip(got, want):
             assert np.array_equal(b, w)
+
+    @pytest.mark.parametrize("n2", [2, 64])
+    def test_test_matrix_scales_kept_per_size(self, n2, monkeypatch):
+        monkeypatch.setattr(spectral, "_TEST_MATRIX_SCALES", {})
+        draws, estimates = [], []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size=None):
+                if np.ndim(size) == 1 and len(size) == 2:
+                    draws.append(size)
+                return self.rng.standard_normal(size)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        estimate = spectral._spectral_norm_estimate
+        monkeypatch.setattr(spectral, "_spectral_norm_estimate",
+                            lambda b: estimates.append(b.shape) or estimate(b))
+        first = default_test_matrices(n2)
+        # a cold call draws each normal matrix once and estimates from it
+        assert draws == [(n2, n2)] * 8 and len(estimates) == 4
+        # the memo holds four floats per size, not matrices
+        assert list(spectral._TEST_MATRIX_SCALES) == [n2]
+        assert [type(v) for v in spectral._TEST_MATRIX_SCALES[n2]] == [float] * 4
+        second = default_test_matrices(n2)
+        assert len(draws) == 16 and len(estimates) == 4
+        monkeypatch.setattr(spectral, "_TEST_MATRIX_SCALES", {})
+        cleared = default_test_matrices(n2)
+        assert len(estimates) == 8
+        for (_, a), (_, b), (_, c) in zip(first, second, cleared):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert b.flags.f_contiguous and c.flags.f_contiguous
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_matches_dense_kronecker_oracle(self, n, monkeypatch):
