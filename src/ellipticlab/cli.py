@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its flags; numeric output does not
 depend on the thread count.  Each experiment, run by its subcommand or from
 a config, prints one JSON line on stdout.  Exit codes: 0 pass, 1 experiment
-assertion failure, 2 usage/config error, 3 numerical failure.
+assertion failure, 2 usage, config or file error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def _single_n(args) -> int:
     return args.n[0]
 
 
-def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get("ELLIPTICLAB_OUT", ".")
-    path = Path(base)
+def _out_dir(args, config_dir: str | None = None) -> Path:
+    """--out-dir, else a config's output_dir, else $ELLIPTICLAB_OUT, else '.'; created."""
+    path = Path(args.out_dir or config_dir or os.environ.get("ELLIPTICLAB_OUT", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -184,18 +184,19 @@ def cmd_spectrum(args) -> int:
     names, vecs = zip(*default_probes(2 * args.n, seed=spec.seed, k=2)[:4])
     labels = [f"{a}|{b}" for a, b in zip(names[:3], names[1:])]
     probes = np.stack(vecs, axis=1)
-    decs, rows = [], []
-    for trial in range(args.trials):
-        mat = sample(spec, trial)
-        for zeta in args.zeta:
-            dec = decompose(hermitize(mat, zeta))
-            decs.append((trial, dec))
-            iso = isotropic_entries(dec, args.eta, probes[:, :3], probes[:, 1:])
-            for eta, entries in zip(args.eta, iso):
-                rows.append((trial, zeta, eta, partial_trace(dec, eta),
-                             list(zip(labels, entries)), log_abs_det(dec)))
-    harness.dump_eigenvalues(out / f"{args.prefix}.eigenvalues.csv", decs)
-    harness.dump_functionals(out / f"{args.prefix}.functionals.jsonl", rows)
+    with open(out / f"{args.prefix}.eigenvalues.csv", "w", encoding="utf-8") as eig_fh, \
+            open(out / f"{args.prefix}.functionals.jsonl", "w", encoding="utf-8") as fn_fh:
+        for trial in range(args.trials):
+            mat = sample(spec, trial)
+            for zeta in args.zeta:
+                dec = decompose(hermitize(mat, zeta))
+                harness.dump_eigenvalues(eig_fh, [(trial, dec)])
+                iso = isotropic_entries(dec, args.eta, probes[:, :3], probes[:, 1:])
+                harness.dump_functionals(fn_fh, [
+                    (trial, zeta, eta, partial_trace(dec, eta), list(zip(labels, entries)),
+                     log_abs_det(dec)) for eta, entries in zip(args.eta, iso)])
+                # written: drop U and V^H before the next SVD
+                del dec
     print(f"wrote {out / args.prefix}.eigenvalues.csv and .functionals.jsonl")
     return EXIT_OK
 
@@ -264,9 +265,11 @@ def cmd_girko(args) -> int:
     return _exit_code(_emit(_girko_check(spec, tf, args.gate, args.quad_tol), None, None))
 
 
-def _mc_check(region, rng, reps: int, m: int, mc_delta: float) -> dict:
+def _mc_check(region, seed: int, reps: int, m: int, mc_delta: float) -> dict:
     """The mc-check line: the share of `reps` Monte Carlo means of Re z outside
-    their deviation bound, which passes when it is at most `mc_delta`."""
+    their deviation bound, which passes when it is at most `mc_delta`.  The
+    points come from one Philox stream per seed."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 11]))
     violations = 0
     for _ in range(reps):
         est, bound = harness.monte_carlo_estimate(lambda z: z.real, region, m,
@@ -278,8 +281,7 @@ def _mc_check(region, rng, reps: int, m: int, mc_delta: float) -> dict:
 
 
 def cmd_mc_check(args) -> int:
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 7]))
-    line = _mc_check(EllipseRegion(args.rho, args.delta), rng, args.reps, args.m,
+    line = _mc_check(EllipseRegion(args.rho, args.delta), args.seed, args.reps, args.m,
                      args.mc_delta)
     return _exit_code(_emit(line, None, None))
 
@@ -303,11 +305,7 @@ def _config_mc(grid, cfg):
     reps = cfg.get("mc_reps", 200)
     if reps < 1:
         raise ValueError(f"mc-check: mc_reps must be >= 1, got {reps}")
-
-    def run() -> dict:
-        rng = np.random.Generator(np.random.Philox(key=[grid.seed, 11]))
-        return _mc_check(region, rng, reps, 100, 0.1)
-    return run
+    return lambda: _mc_check(region, grid.seed, reps, 100, 0.1)
 
 
 # config experiments outside the registry: name -> (grid, cfg) -> run() -> line
@@ -392,9 +390,7 @@ def cmd_experiment(args) -> int:
     requests = {name: _options(name, grid, cfg) for name in names
                 if name in harness.EXPERIMENTS}
     results = harness.run_experiments(grid, requests, threads=args.threads)
-    out = Path(args.out_dir or cfg.get("output_dir")
-               or os.environ.get("ELLIPTICLAB_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg.get("output_dir"))
     failed = []
     for name in names:
         result = results[name] if name in results else checks[name]()
@@ -563,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=_int_at_least(2), default=100)
     p.add_argument("--mc-delta", type=float, default=0.1)
     p.add_argument("--reps", type=_int_at_least(1), default=1000)
     p.set_defaults(func=cmd_mc_check)
@@ -591,6 +587,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError, argparse.ArgumentTypeError) as exc:
         # a config's zeta is parsed by parse_complex, outside argparse
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # a config path that is a directory, an output path that cannot be written
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -31,19 +31,17 @@ error-matrix experiment forms no 2n x 2n test matrix: its block tests are
 traced from D's four n x n block traces.
 
 The `threads` argument (at least 1) is the size of the one pool the tasks
-run in; while they and the per-n setups run, the OpenBLAS libraries
-bundled with numpy and scipy are held at one thread each, so there is one
-level of parallelism and every task does the same arithmetic whatever
-`threads` is.  Records are merged in (n, zeta, eta, trial) lexicographic
-order, so thread counts never change the output.
+run in; while they and the per-n setups run, the OpenBLAS bundled with
+numpy, the only BLAS they call, is held at one thread
+(`spectral.SINGLE_THREADED_BLAS`), so there is one level of parallelism
+and every task does the same arithmetic whatever `threads` is.  Records
+are merged in (n, zeta, eta, trial) lexicographic order, so thread counts
+never change the output.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -56,10 +54,10 @@ from .ensemble import EllipticMatrix, EnsembleSpec, sample
 from .quad2d import adaptive_quad2d
 from .spectral import (
     BLOCK_TESTS,
+    SINGLE_THREADED_BLAS,
     ResolventSolver,
     SelfEnergyData,
     SpectralDecomposition,
-    _openblas,
     _probe_family,
     decompose,
     default_probes,
@@ -181,58 +179,6 @@ class ExperimentReport:
             json.dump({"name": self.name, "params": self.params,
                        "summary": self.summary}, fh, indent=2, default=str)
             fh.write("\n")
-
-
-@functools.cache
-def _bundled_openblas() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS bundled with numpy and scipy.
-
-    Empty when neither package ships its own OpenBLAS (a build against a
-    system BLAS), in which case the thread count is left alone.
-    """
-    controls = []
-    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
-        for lib in _openblas(pkg):
-            try:
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-class _SingleThreadedBlas:
-    """Holds the bundled OpenBLAS libraries at one thread while any caller is inside.
-
-    The thread count is process-wide, so overlapping holders share one pin:
-    the first to enter saves the counts and the last to leave restores them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._holders == 0:
-                self._saved = [(set_, get()) for get, set_ in _bundled_openblas()]
-                for set_, _ in self._saved:
-                    set_(1)
-            self._holders += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0:
-                for set_, count in self._saved:
-                    set_(count)
-
-
-_SINGLE_THREADED_BLAS = _SingleThreadedBlas()
 
 
 def _median_by_n(records, n_values):
@@ -636,7 +582,7 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
     tasks = [(n, t) for n in grid.n_values for t in range(grid.trials) if observers(t)]
     # a multithreaded BLAS may round differently, and records must not depend
     # on `threads`
-    with _SINGLE_THREADED_BLAS, ThreadPoolExecutor(max_workers=threads) as pool:
+    with SINGLE_THREADED_BLAS, ThreadPoolExecutor(max_workers=threads) as pool:
         pending = [pool.submit(run, key) for key in tasks]
         try:
             for n, future in states.items():
@@ -881,7 +827,7 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     c, r = tf.center, tf.radius
     box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
     # the per-node matvecs are small: multithreaded BLAS only adds overhead
-    with _SINGLE_THREADED_BLAS:
+    with SINGLE_THREADED_BLAS:
         val, _ = adaptive_quad2d(integrand, box, tol=quad_tol, max_depth=14)
     # analytic value of the excluded log-singular disks
     inside = np.abs(eigs - c) <= r + r0
@@ -896,19 +842,17 @@ def monte_carlo_estimate(f, region: EllipseRegion, m: int, delta: float,
     """Sample mean of f on the region and its Chebyshev deviation bound.
 
     The bound is (1/sqrt(m delta)) times the empirical standard deviation,
-    so the true mean lies within it with probability >= 1 - delta.
+    so the true mean lies within it with probability >= 1 - delta; it takes
+    m >= 2 points.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:
+        raise ValueError(f"m must be >= 2 for a sample deviation, got {m}")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     pts = region.sample_uniform(rng, m)
     vals = np.asarray(f(pts))
     est = complex(np.mean(vals))
-    if m > 1:
-        var = float(np.sum(np.abs(vals - est) ** 2) / (m - 1))
-    else:
-        var = 0.0
+    var = float(np.sum(np.abs(vals - est) ** 2) / (m - 1))
     bound = float(np.sqrt(var / (m * delta)))
     return est, bound
 
@@ -957,27 +901,28 @@ def density_map(spec: EnsembleSpec, grid_resolution: int = 101) -> DensityMap:
     return run_experiments(_spec_grid(spec), request)["density"]
 
 
-def dump_eigenvalues(path, dec_list) -> None:
-    """CSV dump (trial, zeta_re, zeta_im, index, lambda) for decompositions."""
-    with open(path, "w", encoding="utf-8") as fh:
+def dump_eigenvalues(fh, decompositions) -> None:
+    """CSV rows (trial, zeta_re, zeta_im, index, lambda) of (trial, decomposition)
+    pairs, written to the open text file fh after the header if fh is at its start."""
+    if fh.tell() == 0:
         fh.write("trial,zeta_re,zeta_im,index,lambda\n")
-        for trial, dec in dec_list:
-            for idx, lam in enumerate(dec.eigenvalues):
-                fh.write(f"{trial},{float(dec.zeta.real)!r},{float(dec.zeta.imag)!r},"
-                         f"{idx},{float(lam)!r}\n")
+    for trial, dec in decompositions:
+        for idx, lam in enumerate(dec.eigenvalues):
+            fh.write(f"{trial},{float(dec.zeta.real)!r},{float(dec.zeta.imag)!r},"
+                     f"{idx},{float(lam)!r}\n")
 
 
-def dump_functionals(path, rows) -> None:
-    """JSONL dump of rows (trial, zeta, eta, block traces, [(label, <x, G y>)], log|det H|)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for trial, zeta, eta, traces, iso, log_det in rows:
-            rec = {
-                "trial": trial,
-                "zeta_re": zeta.real, "zeta_im": zeta.imag, "eta": eta,
-                "avg_trace_re": traces[0, 0].real,
-                "avg_trace_im": traces[0, 0].imag,
-                "partial_traces": [[t.real, t.imag] for t in traces.ravel()],
-                "iso_probes": [[label, val.real, val.imag] for label, val in iso],
-                "log_det": log_det,
-            }
-            fh.write(json.dumps(rec) + "\n")
+def dump_functionals(fh, rows) -> None:
+    """JSONL lines of rows (trial, zeta, eta, block traces, [(label, <x, G y>)],
+    log|det H|), written to the open text file fh."""
+    for trial, zeta, eta, traces, iso, log_det in rows:
+        rec = {
+            "trial": trial,
+            "zeta_re": zeta.real, "zeta_im": zeta.imag, "eta": eta,
+            "avg_trace_re": traces[0, 0].real,
+            "avg_trace_im": traces[0, 0].imag,
+            "partial_traces": [[t.real, t.imag] for t in traces.ravel()],
+            "iso_probes": [[label, val.real, val.imag] for label, val in iso],
+            "log_det": log_det,
+        }
+        fh.write(json.dumps(rec) + "\n")

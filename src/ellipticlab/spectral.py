@@ -13,6 +13,9 @@ inverse is of a Hermitian positive definite Gram matrix.  Where numpy ships
 its own OpenBLAS, `zherk` forms it and `zpotrf` + `zpotri` invert it, called
 through ctypes, which releases the GIL, so trials in a thread pool factor in
 parallel; on a numpy built against a system BLAS a GEMM and `inv` do it.
+This module is the one owner of that library: `_openblas` opens it once,
+and `SINGLE_THREADED_BLAS` holds it at one thread for the harness's trial
+pool and Girko quadrature, which call numpy and no scipy BLAS.
 
 The error norm's random test matrices are a function of 2n alone; their
 power-estimated 2-norms are kept per 2n (four floats), so later calls at one
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,33 +327,72 @@ def default_test_matrices(n2: int):
 
 
 @functools.cache
-def _openblas(pkg: str) -> tuple:
-    """The OpenBLAS libraries bundled with `pkg` ("numpy" or "scipy"), opened on
-    the first call; empty for a build against a system BLAS."""
-    libdir = Path(importlib.import_module(pkg).__file__).resolve().parent.parent
-    return tuple(ctypes.CDLL(str(path))
-                 for path in sorted((libdir / f"{pkg}.libs").glob("libscipy_openblas*.so")))
+def _openblas():
+    """The OpenBLAS bundled with numpy, opened on the first call; None for a
+    build against a system BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libdir.glob("libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(paths[0])) if paths else None
+
+
+def _routine(name: str, argtypes: list, restype=None):
+    """`name` from numpy's bundled OpenBLAS with its ctypes signature, or None."""
+    routine = getattr(_openblas(), name, None)
+    if routine is not None:
+        routine.argtypes, routine.restype = argtypes, restype
+    return routine
 
 
 @functools.cache
-def _hermitian_lapack(libs: tuple):
-    """zherk, zpotrf and zpotri (64-bit integers) from the first of `libs` that
-    exports them, or None."""
+def _hermitian_lapack():
+    """zherk, zpotrf and zpotri (64-bit integers) of numpy's bundled OpenBLAS, or None."""
     # Fortran: every argument by reference, then a hidden length per character one
     char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    signatures = {"zherk": [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size],
-                  "zpotrf": [char, i64, ptr, i64, i64, size],
-                  "zpotri": [char, i64, ptr, i64, i64, size]}
-    for lib in libs:
-        try:
-            routines = [getattr(lib, f"scipy_{name}_64_") for name in signatures]
-        except AttributeError:
-            continue
-        for routine, argtypes in zip(routines, signatures.values()):
-            routine.argtypes, routine.restype = argtypes, None
-        return tuple(routines)
-    return None
+    routines = (_routine("scipy_zherk_64_",
+                         [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size]),
+                _routine("scipy_zpotrf_64_", [char, i64, ptr, i64, i64, size]),
+                _routine("scipy_zpotri_64_", [char, i64, ptr, i64, i64, size]))
+    return None if None in routines else routines
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    get = _routine("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    set_ = _routine("scipy_openblas_set_num_threads64_", [ctypes.c_int])
+    return None if get is None or set_ is None else (get, set_)
+
+
+class _SingleThreadedBlas:
+    """Holds numpy's bundled OpenBLAS at one thread while any caller is inside;
+    without that library (a system BLAS) the thread count is left alone.
+
+    The thread count is process-wide, so overlapping holders share one pin:
+    the first to enter saves the count and the last to leave restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0 and _blas_threads():
+                get, set_ = _blas_threads()
+                self._saved = get()
+                set_(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and _blas_threads():
+                _blas_threads()[1](self._saved)
+
+
+SINGLE_THREADED_BLAS = _SingleThreadedBlas()
 
 
 def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarray:
@@ -362,7 +404,7 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
     `zpotrf` pivot raises LinAlgError.  Without that library: a GEMM and `inv`.
     """
     n = a.shape[0]
-    lapack = _hermitian_lapack(_openblas("numpy"))
+    lapack = _hermitian_lapack()
     if lapack is None:
         gram = a.conj().T @ a if adjoint else a @ a.conj().T
         gram[np.diag_indices(n)] += eta ** 2

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, En
 from ellipticlab import EtaRule, ExperimentGrid, harness
 from ellipticlab import TestFunction as Bump
 from ellipticlab.cli import build_parser, main, parse_complex
-from ellipticlab import spectral
+from ellipticlab import cli, spectral
 from ellipticlab.spectral import default_probes
 
 
@@ -152,9 +153,11 @@ class TestParsing:
         ["girko-check", "--n", "8", "--gate", "nan"],
         ["girko-check", "--n", "8", "--gate", "-1"],
         ["sample", "--n", "4", "--rho", "0.5", "--trial", "-1"],
+        ["mc-check", "--m", "1"],
     ], ids=["potential-zeta", "potential-quad-tol-inf", "potential-quad-tol-nan",
             "spectrum-zeta", "girko-zeta", "girko-radius-nan", "girko-radius-inf",
-            "girko-gate-nan", "girko-gate-negative", "sample-trial-negative"])
+            "girko-gate-nan", "girko-gate-negative", "sample-trial-negative",
+            "mc-check-m-one"])
     def test_non_finite_input_exits_two(self, argv, tmp_path, capsys, monkeypatch):
         # rejected before any work: one error line, nothing printed or written
         monkeypatch.chdir(tmp_path)
@@ -280,6 +283,30 @@ class TestSpectrum:
                 (tmp_path / "spec.functionals.jsonl").read_text().strip().splitlines()]
         assert len(rows) == 2
         assert all(r["avg_trace_im"] > 0 for r in rows)
+
+    def test_one_decomposition_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each (trial, zeta) is written before the next SVD, so U and V^H do not pile up
+        refs, alive = [], []
+        decompose = cli.decompose
+
+        def tracked(h, *args, **kwargs):
+            dec = decompose(h, *args, **kwargs)
+            refs.append(weakref.ref(dec))
+            alive.append(sum(ref() is not None for ref in refs))
+            return dec
+        monkeypatch.setattr(cli, "decompose", tracked)
+        assert main(["spectrum", "--n", "16", "--rho", "0.5", "--zeta", "0.1+0.1i", "0",
+                     "--eta", "0.1", "--trials", "2", "--out-dir", str(tmp_path)]) == 0
+        assert alive == [1] * 4
+
+    def test_unwritable_prefix_exits_two(self, tmp_path, capsys):
+        assert main(["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1",
+                     "--out-dir", str(tmp_path), "--prefix", "missing/x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "missing" in captured.err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_functionals_match_dense_inverse(self, n, tmp_path):
@@ -521,6 +548,13 @@ class TestExperimentConfig:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        assert main(["experiment", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(tmp_path) in captured.err
+
     @pytest.mark.parametrize("section", ["ensemble", "grid"])
     def test_config_section_not_an_object_exits_two(self, section, tmp_path, capsys):
         cfg = json.loads(Path(self._mini_config(tmp_path / "cfg.json")).read_text())
@@ -530,15 +564,15 @@ class TestExperimentConfig:
         assert section in capsys.readouterr().err
 
     def test_failed_factor_exits_three(self, tmp_path, capsys, monkeypatch):
-        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+        if spectral._hermitian_lapack() is None:
             pytest.skip("numpy ships no OpenBLAS here")
-        herk, potrf, potri = spectral._hermitian_lapack(spectral._openblas("numpy"))
+        herk, potrf, potri = spectral._hermitian_lapack()
 
         def failing_potrf(*args):
             potrf(*args)
             args[4]._obj.value = 1      # info > 0: not positive definite
         monkeypatch.setattr(spectral, "_hermitian_lapack",
-                            lambda libs: (herk, failing_potrf, potri))
+                            lambda: (herk, failing_potrf, potri))
         cfg = self._mini_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
         assert main(["experiment", cfg, "--threads", "2"]) == 3
         captured = capsys.readouterr()
@@ -579,6 +613,20 @@ class TestOnePathPerExperiment:
                     == (tmp_path / "cfg" / name).read_bytes()), name
         summary = json.loads((tmp_path / "cfg" / "delocalisation.summary.json").read_text())
         assert summary["params"]["delta"] == summary["summary"]["delta"] == 0.05
+
+    def test_mc_check_draws_the_config_stream(self, tmp_path, capsys, monkeypatch):
+        # the subcommand's defaults (m = 100, mc-delta 0.1) are the config's; both
+        # lines read 0 violations here, so the Monte Carlo means are compared too
+        means = []
+        estimate = harness.monte_carlo_estimate
+        monkeypatch.setattr(harness, "monte_carlo_estimate",
+                            lambda *args: means.append(estimate(*args)) or means[-1])
+        main(["mc-check", "--seed", "3", "--rho", "0.5", "--delta", "0.1", "--reps", "20"])
+        sub, sub_means = json.loads(capsys.readouterr().out), means[:]
+        means.clear()
+        main(["experiment", self._config(tmp_path, ["mc-check"], zeta="0.05+0.05i")])
+        assert json.loads(capsys.readouterr().out) == sub
+        assert means == sub_means and len(means) == 20
 
     @pytest.mark.parametrize("command", ["local-law", "iso-law", "ssv-scan", "deloc",
                                          "linstats", "girko-check", "mc-check"])

@@ -25,7 +25,7 @@ from ellipticlab import (
     solve_dyson_grid,
 )
 from ellipticlab import TestFunction as Bump
-from ellipticlab import harness
+from ellipticlab import harness, spectral
 from ellipticlab.harness import dump_eigenvalues, dump_functionals
 from ellipticlab.spectral import (
     BLOCK_TESTS,
@@ -122,15 +122,15 @@ class TestThreads:
 
     @pytest.fixture
     def blas(self):
-        controls = harness._bundled_openblas()
-        if not controls:
+        """The thread-count getter of numpy's bundled OpenBLAS, set to 2 for the test."""
+        controls = spectral._blas_threads()
+        if controls is None:
             pytest.skip("no bundled OpenBLAS found")
-        saved = [get() for get, _ in controls]
-        for _, set_ in controls:
-            set_(2)
-        yield controls
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
+        get, set_ = controls
+        saved = get()
+        set_(2)
+        yield get
+        set_(saved)
 
     @staticmethod
     def _wrap_setup(monkeypatch, name, wrap):
@@ -151,17 +151,17 @@ class TestThreads:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tasks_run_on_single_threaded_blas(self, blas, threads, monkeypatch):
-        before = [get() for get, _ in blas]
+        before = blas()
         seen = []
-        self._wrap_build(monkeypatch, lambda n, trial: seen.append([get() for get, _ in blas]))
+        self._wrap_build(monkeypatch, lambda n, trial: seen.append(blas()))
         harness.run_experiments(small_grid(n_values=(32,), trials=4), {"local-law": {}},
                                 threads)
-        assert seen == [[1] * len(blas)] * 4
-        assert [get() for get, _ in blas] == before
+        assert seen == [1] * 4
+        assert blas() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blas_threads_restored_after_a_task_raises(self, blas, threads, monkeypatch):
-        before = [get() for get, _ in blas]
+        before = blas()
 
         def fail(n, trial):
             raise RuntimeError("trial failed")
@@ -170,28 +170,28 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="trial failed"):
             harness.run_experiments(small_grid(n_values=(32,), trials=4), {"local-law": {}},
                                     threads)
-        assert [get() for get, _ in blas] == before
+        assert blas() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_setups_run_on_single_threaded_blas(self, blas, threads, monkeypatch):
-        before = [get() for get, _ in blas]
+        before = blas()
         seen = []
 
         def recording(setup):
             def wrapped(grid, n):
-                seen.append([get() for get, _ in blas])
+                seen.append(blas())
                 return setup(grid, n)
             return wrapped
 
         self._wrap_setup(monkeypatch, "error-matrix", recording)
         harness.run_experiments(small_grid(n_values=(32, 48), trials=2),
                                 {"error-matrix": {}}, threads)
-        assert seen == [[1] * len(blas)] * 2
-        assert [get() for get, _ in blas] == before
+        assert seen == [1] * 2
+        assert blas() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failing_setup_stops_the_pool(self, blas, threads, monkeypatch):
-        before_blas = [get() for get, _ in blas]
+        before_blas = blas()
         before_threads = threading.active_count()
         error = RuntimeError("setup failed")
         builds, waited = [], []
@@ -218,7 +218,7 @@ class TestThreads:
         assert waited == [True]
         assert len(builds) <= threads
         assert threading.active_count() == before_threads
-        assert [get() for get, _ in blas] == before_blas
+        assert blas() == before_blas
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_raise_before_any_sample(self, threads, monkeypatch):
@@ -803,6 +803,9 @@ class TestMonteCarlo:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             monte_carlo_estimate(lambda z: z.real, region, 0, 0.1, rng)
+        # one point has no sample deviation: its bound would be 0
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            monte_carlo_estimate(lambda z: z.real, region, 1, 0.1, rng)
         with pytest.raises(ValueError):
             monte_carlo_estimate(lambda z: z.real, region, 10, 1.5, rng)
 
@@ -891,7 +894,8 @@ class TestDumps:
         mat = sample(EnsembleSpec(n=8, rho=0.5, seed=11))
         dec = decompose(hermitize(mat, 0.1 + 0.2j))
         path = tmp_path / "eigs.csv"
-        dump_eigenvalues(path, [(0, dec)])
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_eigenvalues(fh, [(0, dec)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "trial,zeta_re,zeta_im,index,lambda"
         assert len(lines) == 1 + 16
@@ -903,8 +907,9 @@ class TestDumps:
         dec = decompose(hermitize(mat, 0.0))
         traces = partial_trace(dec, 0.5)
         path = tmp_path / "fn.jsonl"
-        dump_functionals(path, [(0, 0.0 + 0.0j, 0.5, traces, [("e1|e1", 0.25 - 0.5j)],
-                                 log_abs_det(dec))])
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_functionals(fh, [(0, 0.0 + 0.0j, 0.5, traces, [("e1|e1", 0.25 - 0.5j)],
+                                   log_abs_det(dec))])
         rec = json.loads(path.read_text().strip())
         assert rec["eta"] == 0.5
         assert rec["avg_trace_im"] > 0

@@ -45,9 +45,9 @@ def gram_routes(monkeypatch):
     route of a numpy built against a system BLAS; the caller's loop body runs
     its Gram inverses on the route yielded, and the fallback stays for the rest
     of the test."""
-    if spectral._hermitian_lapack(spectral._openblas("numpy")) is not None:
+    if spectral._hermitian_lapack() is not None:
         yield "openblas"
-    monkeypatch.setattr(spectral, "_openblas", lambda pkg: ())
+    monkeypatch.setattr(spectral, "_hermitian_lapack", lambda: None)
     yield "fallback"
 
 
@@ -320,7 +320,7 @@ class TestResolventSolver:
             assert err[n:].max() <= 16 * unit * np.abs(y).max() * (1 + s[0] / eta), route
 
     def test_routes_agree_and_the_fallback_calls_inv(self, monkeypatch):
-        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+        if spectral._hermitian_lapack() is None:
             pytest.skip("numpy ships no OpenBLAS here")
         mat = small_matrix(n=48, seed=4)
         inv_calls = []
@@ -329,7 +329,7 @@ class TestResolventSolver:
         lapack = ResolventSolver(mat.entries, 0.1, 0.05)
         lapack_blocks = lapack.blocks
         assert inv_calls == []
-        monkeypatch.setattr(spectral, "_openblas", lambda pkg: ())
+        monkeypatch.setattr(spectral, "_hermitian_lapack", lambda: None)
         fallback = ResolventSolver(mat.entries, 0.1, 0.05)
         assert inv_calls == [(48, 48)]
         for got, want in zip((lapack.w, *lapack_blocks), (fallback.w, *fallback.blocks)):
@@ -346,15 +346,15 @@ class TestResolventSolver:
                 ResolventSolver(np.zeros((3, 3)), 0.0, 1e-170)
 
     def test_a_failed_cholesky_raises(self, monkeypatch):
-        if spectral._hermitian_lapack(spectral._openblas("numpy")) is None:
+        if spectral._hermitian_lapack() is None:
             pytest.skip("numpy ships no OpenBLAS here")
-        herk, potrf, potri = spectral._hermitian_lapack(spectral._openblas("numpy"))
+        herk, potrf, potri = spectral._hermitian_lapack()
 
         def failing_potrf(*args):
             potrf(*args)
             args[4]._obj.value = 2      # info: the leading minor of order 2 is not positive
         monkeypatch.setattr(spectral, "_hermitian_lapack",
-                            lambda libs: (herk, failing_potrf, potri))
+                            lambda: (herk, failing_potrf, potri))
         with pytest.raises(np.linalg.LinAlgError, match="info 2"):
             ResolventSolver(small_matrix(n=8).entries, 0.0, 0.1)
 
