@@ -27,7 +27,6 @@ from .ensemble import (
     save_matrix,
 )
 from .harness import (
-    EtaRule,
     ExperimentGrid,
     ExperimentRecord,
     ExperimentReport,
@@ -46,7 +45,6 @@ from .potential import (
     distributional_check,
     log_potential,
     log_potential_derivative_check,
-    log_potential_eps,
     log_potential_grid,
 )
 from .spectral import (

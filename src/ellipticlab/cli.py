@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -32,7 +33,7 @@ from .dyson import (
     v_equation_residual,
 )
 from .ensemble import EnsembleSpec, moment_self_test, sample, save_matrix
-from .harness import EtaRule, ExperimentGrid
+from .harness import ExperimentGrid
 from .potential import log_potential
 from .quad2d import QuadratureError
 from .spectral import (SingularHermitizationError, decompose, default_probes, hermitize,
@@ -203,9 +204,8 @@ def cmd_spectrum(args) -> int:
 
 def _grid_from_args(args) -> ExperimentGrid:
     return ExperimentGrid(
-        n_values=tuple(args.n), zeta=args.zeta,
-        eta_rule=EtaRule(beta=args.beta), trials=args.trials, delta=args.delta,
-        seed=args.seed, rho=args.rho, mu=args.mu, base=args.base)
+        n_values=tuple(args.n), zeta=args.zeta, beta=args.beta, trials=args.trials,
+        delta=args.delta, seed=args.seed, rho=args.rho, mu=args.mu, base=args.base)
 
 
 def _options(name: str, grid, cfg) -> dict:
@@ -217,12 +217,24 @@ def _options(name: str, grid, cfg) -> dict:
                                alpha=cfg.get("alpha", 0.25))}
 
 
+def _null_if_not_finite(value):
+    """value with every non-finite float in it, in dicts and lists, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_if_not_finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_if_not_finite(v) for v in value]
+    return value
+
+
 def _emit(result, out: Path | None, fmt: str | None) -> bool:
     """Write one experiment's outputs to `out` and print its one JSON line.
 
     A report writes its records and summary in `fmt`, a DensityMap its CSV;
     a check (girko-check, mc-check) is already its line and writes nothing.
-    Returns whether the experiment passed.
+    The line is strict JSON: a non-finite float, such as the nan slope of a
+    one-n grid, prints as null.  Returns whether the experiment passed.
     """
     if isinstance(result, harness.DensityMap):
         result.write_csv(out / "density_map.csv")
@@ -233,7 +245,7 @@ def _emit(result, out: Path | None, fmt: str | None) -> bool:
                 "summary": result.summary}
     else:
         line = result
-    print(json.dumps(line, default=str))
+    print(json.dumps(_null_if_not_finite(line), default=str, allow_nan=False))
     return line.get("passed", True)
 
 
@@ -373,7 +385,7 @@ def cmd_experiment(args) -> int:
     grid = ExperimentGrid(
         n_values=tuple(grid_cfg["n_values"]),
         zeta=parse_complex(grid_cfg["zeta"]),
-        eta_rule=EtaRule(beta=grid_cfg.get("beta", 0.75)),
+        beta=grid_cfg.get("beta", 0.75),
         trials=grid_cfg.get("trials", 3),
         delta=grid_cfg.get("delta", 0.1),
         seed=args.seed if args.seed is not None else ens.get("seed", 0),

@@ -87,19 +87,18 @@ class MomentReport:
         return not any(self.flags.values())
 
 
-def rng_policy(seed: int, trial_index: int = 0, entry_index: int = 0) -> np.random.Generator:
-    """Counter-based substream for (seed, trial, entry-range).
+def rng_policy(seed: int, trial_index: int = 0) -> np.random.Generator:
+    """Counter-based substream for (seed, trial).
 
-    The trial and entry indices are placed in the high words of the Philox
-    counter, so each substream has 2^128 draws of headroom and identical
-    output no matter in which order the substreams are consumed.  Both
-    indices must be non-negative.
+    The trial index is placed in the high word of the Philox counter, so
+    each substream has 2^192 counter steps of headroom and identical output
+    no matter in which order the substreams are consumed.  The index must be
+    non-negative.
     """
-    if trial_index < 0 or entry_index < 0:
-        raise ValueError(f"trial and entry indices must be >= 0, got {trial_index}, "
-                         f"{entry_index}")
+    if trial_index < 0:
+        raise ValueError(f"trial index must be >= 0, got {trial_index}")
     bitgen = np.random.Philox(key=[int(seed), _KEY_SALT],
-                              counter=[0, 0, int(entry_index), int(trial_index)])
+                              counter=[0, 0, 0, int(trial_index)])
     return np.random.Generator(bitgen)
 
 
@@ -113,7 +112,7 @@ def _correlated_signs(rng: np.random.Generator, count: int, corr: float):
 def sample(spec: EnsembleSpec, trial: int = 0) -> EllipticMatrix:
     """Draw one elliptic matrix; a pure function of (spec, trial)."""
     n, rho, mu = spec.n, spec.rho, spec.mu
-    rng = rng_policy(spec.seed, trial, 0)
+    rng = rng_policy(spec.seed, trial)
     iu, ju = np.triu_indices(n, k=1)
     npairs = iu.size
 

@@ -75,26 +75,12 @@ GIRKO_MAX_N = 256          # largest n the dense Girko quadrature accepts
 
 
 @dataclass(frozen=True)
-class EtaRule:
-    """Spectral scale eta = n^{-beta}, beta in (0, 1)."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-
-    def eta(self, n: int) -> float:
-        return float(n) ** (-self.beta)
-
-
-@dataclass(frozen=True)
 class ExperimentGrid:
-    """Bulk experiment grid: dimensions, spectral point(s), scale rule, trials."""
+    """Bulk experiment grid: dimensions, spectral point, scale eta = n^{-beta}, trials."""
 
     n_values: tuple
     zeta: complex
-    eta_rule: EtaRule
+    beta: float
     trials: int
     delta: float
     seed: int
@@ -107,6 +93,8 @@ class ExperimentGrid:
             raise ValueError("n_values must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (0.0 < self.beta < 1.0):
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         # EnsembleSpec checks each n and the law's parameters
         if len({self.ensemble_spec(n) for n in self.n_values}) < len(self.n_values):
@@ -115,6 +103,9 @@ class ExperimentGrid:
         if not bool(region.contains(self.zeta)):
             raise ValueError(
                 f"zeta={self.zeta} is outside the bulk region E_(rho={self.rho}, delta={self.delta})")
+
+    def eta(self, n: int) -> float:
+        return float(n) ** (-self.beta)
 
     def ensemble_spec(self, n: int) -> EnsembleSpec:
         return EnsembleSpec(n=int(n), rho=self.rho, mu=self.mu,
@@ -196,7 +187,7 @@ def _median_slope(xs, medians, n_values) -> float:
 
 def _grid_params(grid: ExperimentGrid) -> dict:
     return {
-        "n_values": list(grid.n_values), "zeta": str(grid.zeta), "beta": grid.eta_rule.beta,
+        "n_values": list(grid.n_values), "zeta": str(grid.zeta), "beta": grid.beta,
         "trials": grid.trials, "delta": grid.delta, "seed": grid.seed,
         "rho": grid.rho, "mu": grid.mu, "base": grid.base,
     }
@@ -248,7 +239,7 @@ class TrialContext:
     @classmethod
     def build(cls, grid: ExperimentGrid, n: int, trial: int, needs) -> "TrialContext":
         x = sample(grid.ensemble_spec(n), trial)
-        ctx = cls(n=n, trial=trial, zeta=grid.zeta, eta=grid.eta_rule.eta(n), x=x)
+        ctx = cls(n=n, trial=trial, zeta=grid.zeta, eta=grid.eta(n), x=x)
         if "eig" in needs:
             ctx.eigenvalues, ctx.eigenvectors = _eig(x.entries)
         elif "eigvals" in needs:
@@ -290,7 +281,7 @@ class Experiment:
 
 def _dyson(grid: ExperimentGrid, n: int) -> tuple:
     """(v, b) of the Dyson solution at the grid's zeta and eta at n."""
-    v, b, _, _ = solve_dyson_grid(grid.zeta, grid.eta_rule.eta(n), grid.rho)
+    v, b, _, _ = solve_dyson_grid(grid.zeta, grid.eta(n), grid.rho)
     return float(v), complex(b)
 
 
@@ -307,7 +298,7 @@ def _local_law_observe(ctx, v):
 
 def _local_law_summary(records, grid, _state):
     medians = _median_by_n(records, grid.n_values)
-    neta = {n: n * grid.eta_rule.eta(n) for n in grid.n_values}
+    neta = {n: n * grid.eta(n) for n in grid.n_values}
     median_gate = all(medians[n] <= MEDIAN_CONSTANT / neta[n] for n in grid.n_values)
     summary = {
         "median_by_n": {str(n): medians[n] for n in grid.n_values},
@@ -368,20 +359,15 @@ def _iso_law_summary(records, grid, _state):
     return ExperimentReport("isotropic_local_law", _grid_params(grid), records, summary)
 
 
-def deloc_probes(n: int, seed: int):
-    """e1, the uniform and alternating unit vectors, and four seeded random units."""
-    return _probe_family(n, (("e1", 0),), "rand", 4, seed)
-
-
-def _deloc_setup(grid, n, w_probes=None):
-    if w_probes is None:
-        w_probes = deloc_probes(n, seed=grid.seed)
-    norms = np.array([np.linalg.norm(w) for _, w in w_probes])
-    return EllipseRegion(grid.rho, grid.delta), w_probes, norms
+def _deloc_setup(grid, n):
+    # e1, the uniform and alternating unit vectors, and four seeded random units
+    probes = _probe_family(n, (("e1", 0),), "rand", 4, grid.seed)
+    norms = np.array([np.linalg.norm(w) for _, w in probes])
+    return EllipseRegion(grid.rho, grid.delta), probes, norms
 
 
 def _deloc_observe(ctx, state):
-    region, w_probes, norms = state
+    region, probes, norms = state
     n, a = ctx.n, _real_if_real(ctx.x.entries)
     vals, vecs = ctx.eigenvalues, ctx.eigenvectors
     if np.isrealobj(a):
@@ -392,10 +378,10 @@ def _deloc_observe(ctx, state):
     resid = np.linalg.norm(xv - vecs * vals, axis=0)
     defective = resid > EIGVEC_RESIDUAL_GATE
     bulk = np.asarray(region.contains(vals)) & ~defective
-    overlaps = np.abs(np.stack([w for _, w in w_probes]).conj() @ vecs[:, bulk])
+    overlaps = np.abs(np.stack([w for _, w in probes]).conj() @ vecs[:, bulk])
     envelope = float(np.sqrt(np.log(n)))
     out = []
-    for idx, (label, _) in enumerate(w_probes):
+    for idx, (label, _) in enumerate(probes):
         stat = float(np.sqrt(n) * overlaps[idx].max() / norms[idx]) if bulk.any() else 0.0
         out.append(ExperimentRecord(
             experiment="delocalisation", n=n, trial=ctx.trial, zeta=0.0,
@@ -499,7 +485,7 @@ def _error_matrix_setup(grid, n):
 def _error_matrix_observe(ctx, state):
     se, probes, tests = state
     n, eta = ctx.n, ctx.eta
-    iso, avg = error_matrix_norms(ctx.x, ctx.solver, se, probes=probes, test_matrices=tests)
+    iso, avg = error_matrix_norms(ctx.x, ctx.solver, se, probes, tests)
     im_g = ctx.solver.avg_trace().imag
     scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)
     scale_iso = n ** EPSILON_EXPONENT * np.sqrt(im_g / (n * eta))
@@ -603,7 +589,7 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
 
 def _spec_grid(spec: EnsembleSpec, trials: int = 1, delta: float = 0.0) -> ExperimentGrid:
     # deloc and density read neither zeta nor eta; zeta = 0 lies in every bulk region
-    return ExperimentGrid(n_values=(spec.n,), zeta=0j, eta_rule=EtaRule(0.5),
+    return ExperimentGrid(n_values=(spec.n,), zeta=0j, beta=0.5,
                           trials=trials, delta=delta, seed=spec.seed, rho=spec.rho,
                           mu=spec.mu, base=spec.base)
 
@@ -618,11 +604,11 @@ def isotropic_local_law(grid: ExperimentGrid, threads: int = 1) -> ExperimentRep
     return run_experiments(grid, {"iso-law": {}}, threads)["iso-law"]
 
 
-def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, w_probes=None,
-                        trials: int = 10, threads: int = 1) -> ExperimentReport:
+def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, trials: int = 10,
+                        threads: int = 1) -> ExperimentReport:
     """sqrt(n) * max bulk eigenvector overlap per probe, against 10 sqrt(log n)."""
     grid = _spec_grid(spec, trials, delta)
-    return run_experiments(grid, {"deloc": {"w_probes": w_probes}}, threads)["deloc"]
+    return run_experiments(grid, {"deloc": {}}, threads)["deloc"]
 
 
 def density_integral(tf: TestFunction, rho: float, n: int) -> float:

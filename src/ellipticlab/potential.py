@@ -64,7 +64,8 @@ def _simpson_log(zeta_flat, rho, lo, hi, quad_tol):
 
 def log_potential_grid(zeta, param: EllipticParam, quad_tol: float = 1e-6,
                        eps: float = 0.0):
-    """L_eps(zeta) on an array of zeta values (eps=0 gives L itself)."""
+    """L_eps(zeta) = -int_eps^infty (v - 1/(1+eta)) d eta on an array of zeta
+    values (eps=0 gives L itself)."""
     quad_tol = float(quad_tol)
     if not 0.0 < quad_tol < np.inf:
         raise ValueError(f"quad_tol must be a positive finite number, got {quad_tol!r}")
@@ -89,12 +90,6 @@ def log_potential(zeta: complex, param: EllipticParam,
                   quad_tol: float = 1e-6) -> float:
     """The log-potential L(zeta)."""
     return float(log_potential_grid(np.asarray(zeta, complex), param, quad_tol))
-
-
-def log_potential_eps(zeta: complex, eps: float, param: EllipticParam,
-                      quad_tol: float = 1e-8) -> float:
-    """Truncated potential L_eps(zeta) = -int_eps^infty (v - 1/(1+eta))."""
-    return float(log_potential_grid(np.asarray(zeta, complex), param, quad_tol, eps=eps))
 
 
 def log_potential_derivative_check(zeta: complex, eps: float, param: EllipticParam,

@@ -210,7 +210,7 @@ def _probe_family(dim: int, coordinates, prefix: str, k: int,
     return out
 
 
-def default_probes(n2: int, seed: int = 0, k: int = 16) -> list[tuple[str, np.ndarray]]:
+def default_probes(n2: int, k: int, seed: int = 0) -> list[tuple[str, np.ndarray]]:
     """Fixed probe family: coordinate, uniform, alternating, Haar-random units."""
     if n2 % 2:
         raise ValueError("probe dimension must be even (2n)")
@@ -486,23 +486,19 @@ class ResolventSolver:
         return np.array([[diag, ul12], [np.conj(ul12), diag]])
 
 
-def error_matrix_norms(x, solver: ResolventSolver, se: SelfEnergyData, probes=None,
-                       test_matrices=None) -> tuple[float, float]:
+def error_matrix_norms(x, solver: ResolventSolver, se: SelfEnergyData, probes,
+                       test_matrices) -> tuple[float, float]:
     """(iso, avg) norms of the error matrix over probe pairs / test matrices.
 
-    avg is the largest |tr(B D)| / 2n over the block tests c (x) I of
-    `BLOCK_TESTS` and the random `test_matrices` (default:
-    `default_test_matrices(2n)`).  A block test's trace is
+    iso is the largest |<x, D y>| over the (label, vector) `probes`; avg is
+    the largest |tr(B D)| / 2n over the block tests c (x) I of `BLOCK_TESTS`
+    and the (label, matrix) `test_matrices`.  A block test's trace is
     tr((c (x) I) D) = tr(c T), with T the 2x2 matrix of D's block traces,
     so no 2n x 2n test matrix is formed; a random one's is the dot product
     of vec(B^T) with vec(D), one contiguous pass over D.
     """
     n, n2 = solver.n, 2 * solver.n
     d = error_matrix(x, solver, se)
-    if probes is None:
-        probes = default_probes(n2, k=8)
-    if test_matrices is None:
-        test_matrices = default_test_matrices(n2)
     pv = np.stack([p for _, p in probes], axis=1)
     dp = d @ pv
     cross = np.abs(pv.conj().T @ dp)

@@ -13,7 +13,6 @@ from ellipticlab import (
     EllipseRegion,
     EllipticParam,
     EnsembleSpec,
-    EtaRule,
     ExperimentGrid,
     ResolventSolver,
     SelfEnergyData,
@@ -207,7 +206,7 @@ def test_criterion_07_spectral_engine_exactness():
 def local_laws():
     # criteria 8 and 9 on one run: one sample and one resolvent per trial serve both
     grid = ExperimentGrid(n_values=(256, 512, 1024, 2048), zeta=BULK_ZETA,
-                          eta_rule=EtaRule(0.75), trials=20, delta=0.1,
+                          beta=0.75, trials=20, delta=0.1,
                           seed=1, rho=0.5)
     start = time.time()
     reps = run_experiments(grid, {"local-law": {}, "iso-law": {}}, threads=2)
@@ -250,7 +249,7 @@ def test_criterion_10_delocalisation():
 
 def test_criterion_11_small_singular_values():
     grid = ExperimentGrid(n_values=(1024,), zeta=BULK_ZETA,
-                          eta_rule=EtaRule(0.75), trials=5, delta=0.1,
+                          beta=0.75, trials=5, delta=0.1,
                           seed=1, rho=0.5)
     rep = small_singular_scan(grid, threads=2)
     assert rep.summary["max_ratio"] <= 20.0
@@ -268,7 +267,7 @@ def test_criterion_11_small_singular_values():
 
 def test_criterion_12_linear_statistics():
     grid = ExperimentGrid(n_values=(256, 512, 1024), zeta=BULK_ZETA,
-                          eta_rule=EtaRule(0.75), trials=5, delta=0.1,
+                          beta=0.75, trials=5, delta=0.1,
                           seed=1, rho=0.5)
     tf = Bump(kind="polynomial-bump", center=BULK_ZETA, alpha=0.25)
     rep = linear_statistics(grid, tf, threads=2)
@@ -304,7 +303,7 @@ def test_criterion_14_monte_carlo_coverage():
 
 def test_criterion_15_error_matrix():
     grid = ExperimentGrid(n_values=(1024,), zeta=BULK_ZETA,
-                          eta_rule=EtaRule(0.7), trials=20, delta=0.1,
+                          beta=0.7, trials=20, delta=0.1,
                           seed=1, rho=0.5)
     rep = error_matrix_experiment(grid, threads=2)
     ok_avg = ok_iso = 0

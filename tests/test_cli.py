@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ellipticlab import elliptic_density, EllipticParam, load_matrix, sample, EnsembleSpec
-from ellipticlab import EtaRule, ExperimentGrid, harness
+from ellipticlab import ExperimentGrid, harness
 from ellipticlab import TestFunction as Bump
 from ellipticlab.cli import build_parser, main, parse_complex
 from ellipticlab import cli, spectral
@@ -628,6 +628,23 @@ class TestOnePathPerExperiment:
         assert json.loads(capsys.readouterr().out) == sub
         assert means == sub_means and len(means) == 20
 
+    def test_stdout_is_strict_json(self, tmp_path, capsys):
+        # one n gives local-law and linstats a nan slope: it prints as null,
+        # since NaN is not JSON (RFC 8259); the summary files keep NaN
+        def no_constant(name):
+            raise ValueError(f"{name} in a stdout line")
+
+        names = [*harness.EXPERIMENTS, "girko-check", "mc-check"]
+        assert main(["experiment", self._config(tmp_path, names, zeta="0.05+0.05i")]) == 0
+        lines = [json.loads(line, parse_constant=no_constant)
+                 for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == len(names)
+        slopes = {line["experiment"]: line["summary"]["slope_vs_n"] for line in lines
+                  if "slope_vs_n" in line.get("summary", {})}
+        assert slopes == {"averaged_local_law": None, "linear_statistics": None}
+        summary = json.loads((tmp_path / "cfg" / "linear_statistics.summary.json").read_text())
+        assert np.isnan(summary["summary"]["slope_vs_n"])
+
     @pytest.mark.parametrize("command", ["local-law", "iso-law", "ssv-scan", "deloc",
                                          "linstats", "girko-check", "mc-check"])
     def test_one_json_line_with_the_config_keys(self, command, tmp_path, capsys):
@@ -728,7 +745,7 @@ class TestSharedTrialContexts:
     def test_config_records_match_standalone_experiments(self, n, tmp_path):
         cfg, out = _pooled_config(tmp_path, n)
         assert main(["experiment", cfg, "--threads", "2"]) == 0
-        grid = ExperimentGrid(n_values=(n,), zeta=0.05 + 0.05j, eta_rule=EtaRule(0.75),
+        grid = ExperimentGrid(n_values=(n,), zeta=0.05 + 0.05j, beta=0.75,
                               trials=3, delta=0.1, seed=3, rho=0.5)
         standalone = [
             harness.averaged_local_law(grid, threads=2),

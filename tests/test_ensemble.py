@@ -38,24 +38,17 @@ class TestReproducibility:
             assert np.array_equal(forward[t], backward[3 - t])
 
     def test_substreams_independent_smoke(self):
-        g0 = rng_policy(9, 0, 0).standard_normal(50_000)
-        g1 = rng_policy(9, 1, 0).standard_normal(50_000)
+        g0 = rng_policy(9, 0).standard_normal(50_000)
+        g1 = rng_policy(9, 1).standard_normal(50_000)
         corr = np.corrcoef(g0, g1)[0, 1]
         assert abs(corr) < 5.0 / np.sqrt(50_000)
 
-    def test_entry_substreams_distinct(self):
-        a = rng_policy(9, 0, 0).standard_normal(100)
-        b = rng_policy(9, 0, 1).standard_normal(100)
-        assert not np.allclose(a, b)
-
-    @pytest.mark.parametrize("trial, entry", [(-1, 0), (0, -1)])
-    def test_negative_index_rejected(self, trial, entry):
+    def test_negative_index_rejected(self):
         # a negative index would wrap in the uint64 Philox counter
         with pytest.raises(ValueError, match="must be >= 0"):
-            rng_policy(9, trial, entry)
-        if entry == 0:
-            with pytest.raises(ValueError, match="must be >= 0"):
-                sample(gaussian_spec(n=4), trial)
+            rng_policy(9, -1)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            sample(gaussian_spec(n=4), -1)
 
 
 class TestGaussianMoments:

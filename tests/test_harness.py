@@ -6,11 +6,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ellipticlab import (
     EllipseRegion,
+    EllipticMatrix,
     EnsembleSpec,
-    EtaRule,
     ExperimentGrid,
     averaged_local_law,
     delocalisation_test,
@@ -43,7 +44,7 @@ from ellipticlab import elliptic_density, EllipticParam
 
 def small_grid(n_values=(64, 128), trials=3, seed=1, beta=0.75):
     return ExperimentGrid(n_values=n_values, zeta=0.3 + 0.2j,
-                          eta_rule=EtaRule(beta=beta), trials=trials,
+                          beta=beta, trials=trials,
                           delta=0.1, seed=seed, rho=0.5)
 
 
@@ -52,21 +53,20 @@ def dense_resolvent(grid, n, trial):
     a = sample(grid.ensemble_spec(n), trial).entries - grid.zeta * np.eye(n)
     zero = np.zeros((n, n))
     h = np.block([[zero, a], [a.conj().T, zero]])
-    return np.linalg.inv(h - 1j * grid.eta_rule.eta(n) * np.eye(2 * n))
+    return np.linalg.inv(h - 1j * grid.eta(n) * np.eye(2 * n))
 
 
 class TestGridValidation:
     def test_bulk_membership_enforced(self):
         with pytest.raises(ValueError):
-            ExperimentGrid(n_values=(64,), zeta=1.6 + 0.0j, eta_rule=EtaRule(0.75),
+            ExperimentGrid(n_values=(64,), zeta=1.6 + 0.0j, beta=0.75,
                            trials=1, delta=0.1, seed=0, rho=0.5)
 
     def test_beta_range(self):
-        with pytest.raises(ValueError):
-            EtaRule(beta=1.0)
-        with pytest.raises(ValueError):
-            EtaRule(beta=0.0)
-        assert EtaRule(0.75).eta(256) == pytest.approx(256 ** -0.75)
+        for beta in (1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                small_grid(beta=beta)
+        assert small_grid(beta=0.75).eta(256) == pytest.approx(256 ** -0.75)
 
     def test_trials_positive(self):
         with pytest.raises(ValueError):
@@ -295,7 +295,7 @@ class TestAveragedLaw:
         # |<G> - i v|, with <G> from a dense inverse of the 2n x 2n
         # Hermitization and v from the Dyson solver
         grid = small_grid(n_values=(n,), trials=2, seed=5)
-        v = float(solve_dyson_grid(grid.zeta, grid.eta_rule.eta(n), grid.rho)[0])
+        v = float(solve_dyson_grid(grid.zeta, grid.eta(n), grid.rho)[0])
         report = averaged_local_law(grid)
         assert [r.trial for r in report.records] == [0, 1]
         for rec in report.records:
@@ -305,7 +305,7 @@ class TestAveragedLaw:
 
     def test_rho_zero_circular_case(self):
         grid = ExperimentGrid(n_values=(128,), zeta=0.2 + 0.1j,
-                              eta_rule=EtaRule(0.75), trials=3, delta=0.1,
+                              beta=0.75, trials=3, delta=0.1,
                               seed=2, rho=0.0)
         assert averaged_local_law(grid).passed
 
@@ -340,7 +340,7 @@ class TestIsotropicLaw:
         # <x, (G - M) y> over the same 20 probe pairs, <G> and the block
         # traces, from a dense inverse of the 2n x 2n Hermitization
         grid = small_grid(n_values=(n,), trials=2, seed=5)
-        eta = grid.eta_rule.eta(n)
+        eta = grid.eta(n)
         v, b, _, _ = solve_dyson_grid(grid.zeta, eta, grid.rho)
         v, b = float(v), complex(b)
         m2 = np.array([[1j * v, np.conj(b)], [b, 1j * v]])
@@ -374,16 +374,29 @@ class TestDelocalisation:
         assert {"e1", "uniform", "alternating"} <= labels
         assert all(r.extras["bulk_count"] > 0 for r in rep.records)
 
-    def test_self_overlap_statistic_sane(self):
-        # an eigenvector used as probe yields sqrt(n) overlap ~ sqrt(n)
-        spec = EnsembleSpec(n=96, rho=0.0, seed=4)
-        x = sample(spec)
-        vals, vecs = np.linalg.eig(x.entries)
-        bulk = np.abs(vals) < 0.8
-        u0 = vecs[:, np.argmax(bulk)]
-        rep = delocalisation_test(spec, delta=0.2, trials=1,
-                                  w_probes=[("self", u0)])
-        assert rep.records[0].observed > 0.5 * np.sqrt(96)
+    def test_observed_from_known_eigenvectors(self, monkeypatch):
+        # a real diagonal X with distinct entries has the coordinate vectors as
+        # eigenvectors, with x_00 = 0.05 in the bulk: the e1 statistic is
+        # sqrt(n), the uniform and alternating ones 1, a random probe's sqrt(n)
+        # times its largest entry over the bulk coordinates
+        n, rho, delta = 32, 0.5, 0.2
+        diag = np.concatenate([[0.05], np.linspace(-2.0, 2.0, n - 1)])
+        spec = EnsembleSpec(n=n, rho=rho, seed=4)
+        monkeypatch.setattr(harness, "sample", lambda spec, trial: EllipticMatrix(
+            entries=np.diag(diag).astype(complex), spec=spec))
+        inside = np.asarray(EllipseRegion(rho, delta).contains(diag))
+        assert inside[0] and 0 < inside.sum() < n
+        rep = delocalisation_test(spec, delta=delta, trials=1)
+        got = {r.extras["probe"]: r for r in rep.records}
+        want = {"e1": np.sqrt(n), "uniform": 1.0, "alternating": 1.0}
+        for label, w in harness._deloc_setup(harness._spec_grid(spec), n)[1]:
+            if label.startswith("rand"):
+                want[label] = np.sqrt(n) * np.abs(w[inside]).max()
+        assert got.keys() == want.keys()
+        for label, stat in want.items():
+            assert got[label].observed == pytest.approx(stat, rel=1e-12, abs=0), label
+            assert got[label].extras["defective_count"] == 0
+            assert got[label].extras["bulk_count"] == inside.sum()
 
     def test_rho_zero_same_envelope(self):
         spec = EnsembleSpec(n=128, rho=0.0, seed=5)
@@ -438,7 +451,7 @@ class TestRealEigensolver:
             assert abs(np.mean(np.abs(ctx.eigenvalues) ** 2) - 0.625) <= 0.02
 
     def test_complex_sample_keeps_complex_driver(self, monkeypatch):
-        grid = ExperimentGrid(n_values=(128,), zeta=0.0, eta_rule=EtaRule(0.75), trials=2,
+        grid = ExperimentGrid(n_values=(128,), zeta=0.0, beta=0.75, trials=2,
                               delta=0.1, seed=22, rho=0.5, mu=0.5)
         x = sample(grid.ensemble_spec(128)).entries
         vals, vecs = harness._eig(x)
@@ -471,7 +484,7 @@ class TestRealEigensolver:
 
     @pytest.mark.parametrize("mu", [1.0, 0.5])
     def test_density_map_equals_config_density(self, mu):
-        grid = ExperimentGrid(n_values=(64,), zeta=0.0, eta_rule=EtaRule(0.75), trials=2,
+        grid = ExperimentGrid(n_values=(64,), zeta=0.0, beta=0.75, trials=2,
                               delta=0.1, seed=24, rho=0.5, mu=mu)
         pooled = harness.run_experiments(grid, {"density": {}})["density"]
         alone = density_map(grid.ensemble_spec(64))
@@ -482,7 +495,7 @@ class TestRealEigensolver:
 class TestLinearStatistics:
     def test_small_run_and_slope(self):
         grid = ExperimentGrid(n_values=(64, 128, 256), zeta=0.0 + 0.0j,
-                              eta_rule=EtaRule(0.75), trials=4, delta=0.1,
+                              beta=0.75, trials=4, delta=0.1,
                               seed=1, rho=0.5)
         tf = Bump(center=0.0, alpha=0.25)
         rep = linear_statistics(grid, tf)
@@ -491,7 +504,7 @@ class TestLinearStatistics:
 
     def test_support_leaving_bulk_rejected(self):
         grid = ExperimentGrid(n_values=(64,), zeta=0.3 + 0.2j,
-                              eta_rule=EtaRule(0.75), trials=1, delta=0.1,
+                              beta=0.75, trials=1, delta=0.1,
                               seed=1, rho=0.5)
         tf = Bump(center=0.3 + 0.2j, alpha=0.25)  # radius 0.35 at n=64
         with pytest.raises(ValueError):
@@ -503,7 +516,7 @@ class TestLinearStatistics:
         # the statistic is k n^{2 alpha} / n, and the unit-radius polynomial
         # bump integrates against the density to (pi / 4) / (pi (1 - rho^2))
         n, center, rho = 256, 0.3 + 0.2j, 0.5
-        grid = ExperimentGrid(n_values=(n,), zeta=center, eta_rule=EtaRule(0.75),
+        grid = ExperimentGrid(n_values=(n,), zeta=center, beta=0.75,
                               trials=2, delta=0.1, seed=1, rho=rho)
         eigenvalues = np.full(n, 5.0 + 0.0j)
         eigenvalues[:k] = center
@@ -822,6 +835,24 @@ class TestSmallSingular:
             counts = [r * 128 * e for r, e in zip(ratios, etas)]
             assert all(a <= b + 1e-9 for a, b in zip(counts, counts[1:]))
 
+    def test_observed_from_known_singular_values(self):
+        # a hand-made decomposition: the ratios are 2 #{s <= eta} / (n eta) on
+        # the scan n^{-0.9} 2^k (0.082, 0.16, 0.33, 0.66 at n = 16)
+        n, zeta = 16, 0.3 + 0.2j
+        grid = small_grid(n_values=(n,), trials=1)
+        s = np.array([3.0, 2.0, 1.0, 0.9, 0.5, 0.5, 0.3, 0.2, 0.15, 0.1, 0.08, 0.05,
+                      0.03, 0.02, 0.01, 0.001])
+        ctx = harness.TrialContext(n=n, trial=0, zeta=zeta, eta=grid.eta(n),
+                                   x=sample(grid.ensemble_spec(n)),
+                                   dec=spectral.SpectralDecomposition(zeta, s))
+        etas = harness._ssv_setup(grid, n)
+        assert etas == pytest.approx([16 ** -0.9 * 2 ** k for k in range(4)], rel=1e-15)
+        ratios = [2 * count / (n * eta) for count, eta in zip((6, 8, 10, 12), etas)]
+        (rec,) = harness._ssv_observe(ctx, etas)
+        assert rec.extras["ratios"] == ratios
+        assert rec.extras["sigma_min"] == 0.001
+        assert rec.observed == max(ratios) and rec.eta == etas[0]
+
     def test_count_saturates(self):
         rep = small_singular_scan(small_grid(n_values=(64,), trials=1))
         rec = rep.records[0]
@@ -829,7 +860,63 @@ class TestSmallSingular:
         assert rec.extras["ratios"][-1] * 64 * rec.extras["etas"][-1] <= 2 * 64
 
 
+def elliptic_ginibre_density(lam, n, tau):
+    """Exact mean eigenvalue density (mass 1) of complex elliptic Ginibre at finite n.
+
+    In z = sqrt(n) lambda it is w(z) sum_{k<n} |h_k(z)|^2 / (pi sqrt(1 - tau^2)),
+    w(z) = exp(-(|z|^2 - tau Re z^2)/(1 - tau^2)), with the normalised Hermite
+    polynomials h_0 = 1, h_{k+1} = z h_k / sqrt(k+1) - tau sqrt(k/(k+1)) h_{k-1}
+    (Fyodorov, Khoruzhenko and Sommers, PRL 79, 557 (1997)).
+    """
+    z = np.sqrt(n) * np.asarray(lam, dtype=complex)
+    h_prev, h = np.zeros_like(z), np.ones_like(z)
+    total = np.ones(z.shape)
+    for k in range(n - 1):
+        h_prev, h = h, z * h / np.sqrt(k + 1) - tau * np.sqrt(k / (k + 1)) * h_prev
+        total += np.abs(h) ** 2
+    weight = np.exp(-(np.abs(z) ** 2 - tau * np.real(z ** 2)) / (1 - tau ** 2))
+    return weight * total / (np.pi * np.sqrt(1 - tau ** 2))
+
+
 class TestDensityMap:
+    def test_matches_exact_finite_n_density(self):
+        # eigenvalues of 300 complex elliptic Ginibre draws, sqrt((1+tau)/2) A +
+        # i sqrt((1-tau)/2) B with A, B from the GUE (E|A_ij|^2 = 1/n), binned by
+        # the density map against the exact mean count of each bin; the bins
+        # expecting fewer than 5 eigenvalues, edge bins and the outside of the
+        # grid, are pooled into one.  Eigenvalues repel, so their counts vary
+        # less than Poisson counts, and the Pearson chi^2 tail is conservative.
+        n, tau, draws, resolution = 64, 0.5, 300, 12
+        rng = np.random.default_rng(2024)
+
+        def gue(m):
+            g = (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+            return (g + np.conj(np.swapaxes(g, 1, 2))) / (2 * np.sqrt(n))
+
+        eigs = np.concatenate([
+            np.linalg.eigvals(np.sqrt((1 + tau) / 2) * gue(100)
+                              + 1j * np.sqrt((1 - tau) / 2) * gue(100)).ravel()
+            for _ in range(draws // 100)])
+        dm = harness._density_from_eigenvalues(eigs, EnsembleSpec(n=n, rho=tau), resolution)
+        dx = dm.x_centers[1] - dm.x_centers[0]
+        dy = dm.y_centers[1] - dm.y_centers[0]
+        counts = dm.histogram * n * dx * dy
+        # each bin's mass by an 8 x 8 Gauss-Legendre rule
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        xs = dm.x_centers[:, None] + 0.5 * dx * nodes
+        ys = dm.y_centers[:, None] + 0.5 * dy * nodes
+        pts = xs[:, None, :, None] + 1j * ys[None, :, None, :]
+        mass = np.einsum("ijab,a,b->ij", elliptic_ginibre_density(pts, n, tau),
+                         weights, weights) * dx * dy / 4
+        assert mass.sum() == pytest.approx(1.0, abs=1e-6)
+        expected = mass * eigs.size
+        few = expected < 5
+        observed = np.append(counts[~few], counts[few].sum() + eigs.size - counts.sum())
+        expected = np.append(expected[~few], expected[few].sum() + eigs.size * (1 - mass.sum()))
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert observed.size > 60
+        assert chi2 < scipy.stats.chi2.isf(1e-3, observed.size - 1)
+
     def test_normalization_and_mass(self):
         dm = density_map(EnsembleSpec(n=512, rho=0.5, seed=8), grid_resolution=61)
         cell = (dm.x_centers[1] - dm.x_centers[0]) * (dm.y_centers[1] - dm.y_centers[0])
@@ -882,9 +969,10 @@ class TestErrorMatrixExperiment:
         grid = small_grid(n_values=(64, 128), trials=3)
         shared = error_matrix_experiment(grid, threads=2)
         assert sorted(built) == [128, 256]
-        # the per-trial path: error_matrix_norms builds its own probes and test matrices
-        monkeypatch.setattr(harness, "error_matrix_norms",
-                            lambda x, solver, se, **_: error_matrix_norms(x, solver, se))
+        # the per-trial path: each trial builds its own probes and test matrices
+        monkeypatch.setattr(harness, "error_matrix_norms", lambda x, solver, se, *_: (
+            error_matrix_norms(x, solver, se, default_probes(2 * solver.n, k=8),
+                               default_test_matrices(2 * solver.n))))
         per_trial = error_matrix_experiment(grid, threads=2)
         assert [r.to_dict() for r in shared.records] == [r.to_dict() for r in per_trial.records]
 

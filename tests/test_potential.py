@@ -10,7 +10,6 @@ from ellipticlab import (
     distributional_check,
     log_potential,
     log_potential_derivative_check,
-    log_potential_eps,
     log_potential_grid,
     solve_dyson_grid,
 )
@@ -139,7 +138,7 @@ def test_finite_difference_is_second_order():
 def test_eps_monotone_to_full():
     param = EllipticParam(0.2)
     full = log_potential(0.5 + 0.1j, param, quad_tol=1e-7)
-    approx = [log_potential_eps(0.5 + 0.1j, eps, param, quad_tol=1e-7)
+    approx = [float(log_potential_grid(0.5 + 0.1j, param, quad_tol=1e-7, eps=eps))
               for eps in (1e-2, 1e-4, 1e-6)]
     diffs = np.abs(np.array(approx) - full)
     assert diffs[-1] < 1e-5

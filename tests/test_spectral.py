@@ -368,7 +368,8 @@ class TestErrorMatrix:
         se = SelfEnergyData(rho=0.5, p=0.1, q=0.2)
         d = error_matrix(x, solver, se)
         assert np.max(np.abs(d - (-1.0 / eta ** 2) * np.eye(4))) < 1e-12
-        iso, avg = error_matrix_norms(x, solver, se)
+        iso, avg = error_matrix_norms(x, solver, se, default_probes(4, k=8),
+                                      default_test_matrices(4))
         assert iso == pytest.approx(1.0 / eta ** 2, rel=1e-12)
         assert avg == pytest.approx(1.0 / eta ** 2, rel=1e-12)
 
@@ -436,7 +437,8 @@ class TestErrorMatrix:
             mat = sample(spec)
             solver = ResolventSolver(mat.entries, 0.3 + 0.2j, n ** -0.5)
             se = SelfEnergyData.from_spec(spec)
-            _, avg = error_matrix_norms(mat.entries, solver, se)
+            _, avg = error_matrix_norms(mat.entries, solver, se, default_probes(2 * n, k=8),
+                                        default_test_matrices(2 * n))
             vals[n] = avg
         assert vals[256] < vals[64]
 
@@ -524,16 +526,16 @@ class TestAveragedErrorNorm:
             return max(abs(np.einsum("ij,ji->", b, d)) for b in mats) / (2 * n)
 
         blocks = [np.kron(c, np.eye(n)) for c in BLOCK_TESTS.values()]
-        tests = default_test_matrices(2 * n)
-        _, avg = error_matrix_norms(x, solver, se, test_matrices=[])
+        probes, tests = default_probes(2 * n, k=8), default_test_matrices(2 * n)
+        _, avg = error_matrix_norms(x, solver, se, probes, [])
         assert avg == pytest.approx(oracle(blocks), rel=1e-13)
         for label, b in tests:
-            _, avg = error_matrix_norms(x, solver, se, test_matrices=[(label, b)])
+            _, avg = error_matrix_norms(x, solver, se, probes, [(label, b)])
             assert avg == pytest.approx(oracle(blocks + [b]), rel=1e-13), label
-        _, avg = error_matrix_norms(x, solver, se)
+        _, avg = error_matrix_norms(x, solver, se, probes, tests)
         assert avg == pytest.approx(oracle(blocks + [b for _, b in tests]), rel=1e-13)
         # each block test on its own, not just the largest
         for label, c in BLOCK_TESTS.items():
             monkeypatch.setattr(spectral, "BLOCK_TESTS", {label: c})
-            _, avg = error_matrix_norms(x, solver, se, test_matrices=[])
+            _, avg = error_matrix_norms(x, solver, se, probes, [])
             assert avg == pytest.approx(oracle([np.kron(c, np.eye(n))]), rel=1e-13), label
