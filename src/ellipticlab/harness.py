@@ -64,6 +64,7 @@ from .spectral import (
     default_test_matrices,
     error_matrix_norms,
     hermitize,
+    hessenberg,
     small_singular_count,
     smallest_singular_value,
 )
@@ -680,11 +681,10 @@ def _hessenberg_blocks(a) -> list:
 
     X = Q H Q^H with Q unitary, so det(X - zeta) = det(H - zeta), and H is
     block upper triangular wherever a subdiagonal entry is exactly zero:
-    the determinant is the product of those of its diagonal blocks.
+    the determinant is the product of those of its diagonal blocks.  H is
+    `spectral.hessenberg`'s: LAPACK `zgehrd` on numpy's bundled OpenBLAS,
+    so the Girko check loads no scipy.
     """
-    # imported here: the Girko check is the only user of scipy.linalg
-    from scipy.linalg import hessenberg
-
     h = hessenberg(a)
     cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), h.shape[0]]
     return [_HymanBlock(h[lo:hi, lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -756,25 +756,29 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
 
     The left side sums f over spec X; the right side integrates
     Delta f * log|det H_zeta| / (4 pi n), with log|det(X - zeta)| at each
-    node from one Hessenberg reduction X = Q H Q^H, done once, and Hyman's
-    method on each irreducible block of H in O(n^2) per node.  So the right
-    side shares its first step, the Hessenberg reduction, with LAPACK's
-    `eigvals` on the left, read through `_eig` as for every sampled X
-    (`dgeev` for a real X); the tests keep `slogdet` (LU) as an independent
-    oracle for the determinants.  Only the nodes where Delta f is nonzero
-    go to the determinant: elsewhere (off the bump's support, such as the
-    box's corners) the value is exactly 0, as 0 times any finite log|det|.
-    A log-singularity exclusion of radius 1e-4 around each eigenvalue is
-    patched analytically.
+    node from one Hessenberg reduction X = Q H Q^H, done once (LAPACK
+    `zgehrd` on numpy's bundled OpenBLAS, so no scipy is loaded), and
+    Hyman's method on each irreducible block of H in O(n^2) per node.  So
+    the right side shares its first step, the Hessenberg reduction, with
+    LAPACK's `eigvals` on the left, read through `_eig` as for every sampled
+    X (`dgeev` for a real X); the tests keep `slogdet` (LU) as an
+    independent oracle for the determinants.  Only the nodes where Delta f
+    is nonzero go to the determinant: elsewhere (off the bump's support,
+    such as the box's corners) the value is exactly 0, as 0 times any
+    finite log|det|.  A log-singularity exclusion of radius 1e-4 around
+    each eigenvalue is patched analytically.
     Where a block's residual is exactly 0 at a node (X - zeta singular),
     the node's value is the sum of the logs of the singular values of
-    X - zeta, the zero ones floored at 1e-300.
+    X - zeta, the zero ones floored at 1e-300.  A non-finite entry of X
+    raises ValueError before any eigenvalue or quadrature call.
     """
     a = x.entries if isinstance(x, EllipticMatrix) else np.asarray(x, dtype=complex)
     n = a.shape[0]
     if n > GIRKO_MAX_N:
         raise ValueError(
             f"girko_consistency is a dense-quadrature check; need n <= {GIRKO_MAX_N}")
+    if not np.isfinite(a).all():
+        raise ValueError("girko_consistency needs a finite X")
     eigs = _eig(a, vectors=False)
     lhs = float(np.mean(np.real(tf.f(eigs))))
 

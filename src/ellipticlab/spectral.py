@@ -15,7 +15,9 @@ through ctypes, which releases the GIL, so trials in a thread pool factor in
 parallel; on a numpy built against a system BLAS a GEMM and `inv` do it.
 This module is the one owner of that library: `_openblas` opens it once,
 and `SINGLE_THREADED_BLAS` holds it at one thread for the harness's trial
-pool and Girko quadrature, which call numpy and no scipy BLAS.
+pool and Girko quadrature, which call numpy and no scipy BLAS.  The Girko
+check's Hessenberg reduction (`hessenberg`) is that library's `zgehrd`,
+with `scipy.linalg.hessenberg` as the fallback on a system BLAS.
 
 The error norm's random test matrices are a function of 2n alone; their
 power-estimated 2-norms are kept per 2n (four floats), so later calls at one
@@ -432,6 +434,56 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
                 f"(LAPACK info {info.value})")
     np.copyto(out, out.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     return out
+
+
+@functools.cache
+def _hessenberg_lapack():
+    """zgehrd (64-bit integers) of numpy's bundled OpenBLAS, or None."""
+    ptr, i64 = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
+    # N, ILO, IHI, A, LDA, TAU, WORK, LWORK, INFO; no character arguments
+    return _routine("scipy_zgehrd_64_", [i64, i64, i64, ptr, i64, ptr, ptr, i64, i64])
+
+
+def hessenberg(a) -> np.ndarray:
+    """The upper Hessenberg form H of a square a: a = Q H Q^H with Q unitary.
+
+    On numpy's bundled OpenBLAS: `zgehrd` on a Fortran-ordered complex copy,
+    held at one thread, after the same workspace query scipy makes, so that
+    both take LAPACK's same blocked or unblocked path and H is bit for bit
+    `scipy.linalg.hessenberg`'s on one thread (at any thread count for n up
+    to LAPACK's crossover, 128, below which the reduction calls no level-3
+    BLAS).  For n <= 2, a is already Hessenberg and is returned unchanged.
+    Without that library: `scipy.linalg.hessenberg`.  The caller checks
+    that a is finite.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n <= 2:
+        return a
+    gehrd = _hessenberg_lapack()
+    if gehrd is None:
+        # imported here: loading scipy.linalg costs more than importing this package
+        from scipy.linalg import hessenberg as scipy_hessenberg
+        return scipy_hessenberg(a.astype(complex, copy=False), check_finite=False)
+    h = np.array(a, dtype=complex, order="F")
+    tau = np.empty(n - 1, dtype=complex)
+    dim, first, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+    ref = ctypes.byref
+
+    def reduce(work: np.ndarray, lwork: int):
+        gehrd(ref(dim), ref(first), ref(dim), h.ctypes.data, ref(dim), tau.ctypes.data,
+              work.ctypes.data, ref(ctypes.c_int64(lwork)), ref(info))
+        if info.value:
+            raise ValueError(f"zgehrd rejected argument {-info.value}")
+
+    with SINGLE_THREADED_BLAS:
+        query = np.empty(1, dtype=complex)
+        reduce(query, -1)          # LWORK = -1: the optimal workspace size, in query[0]
+        lwork = int(query[0].real)
+        reduce(np.empty(lwork, dtype=complex), lwork)
+    return np.triu(h, -1)
 
 
 class ResolventSolver:

@@ -1,9 +1,13 @@
 """Experiment harness: determinism, envelopes, Girko identity, Monte Carlo."""
 
+import contextlib
+import ctypes
 import dataclasses
 import json
 import threading
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
@@ -492,6 +496,51 @@ class TestRealEigensolver:
         assert pooled.mass_inside == alone.mass_inside
 
 
+class TestRealEigenvalueCount:
+    """The expected number of real eigenvalues of the sampled ensemble at
+    mu = 1, n = 64, over 200 draws (seed 3), held to a band of 4 standard
+    errors of the sample mean around the oracle."""
+
+    N, DRAWS = 64, 200
+
+    def counts(self, rho) -> np.ndarray:
+        """Eigenvalues with |Im| < 1e-9 through `_eig`, per draw; the real
+        driver returns real eigenvalues with imaginary part exactly 0."""
+        spec = EnsembleSpec(n=self.N, rho=rho, seed=3)
+        out = []
+        for trial in range(self.DRAWS):
+            imag = harness._eig(sample(spec, trial).entries, vectors=False).imag
+            out.append(np.count_nonzero(np.abs(imag) < 1e-9))
+            assert out[-1] == np.count_nonzero(imag == 0)
+        return np.array(out)
+
+    @staticmethod
+    def half_width(counts) -> float:
+        return 4.0 * counts.std(ddof=1) / np.sqrt(counts.size)
+
+    def test_real_ginibre_exact(self):
+        # rho = 0 is real Ginibre: E N_R = 1/2 + sqrt(2) 2F1(1, -1/2; n; 1/2) / B(n, 1/2)
+        # (Edelman-Kostlan-Shub, J. AMS 7 (1994)); 6.846 at n = 64
+        n = self.N
+        exact = float(0.5 + mp.sqrt(2) * mp.hyp2f1(1, -0.5, n, 0.5) / mp.beta(n, 0.5))
+        counts = self.counts(0.0)
+        assert abs(counts.mean() - exact) <= self.half_width(counts)
+
+    def test_partly_symmetric_leading_order(self):
+        # E N_R ~ sqrt(2n (1+tau) / (pi (1-tau))) + 1/2 with tau = rho
+        # (Forrester-Nagao 2008); the sampler's diagonal variance is 1/n, not
+        # (1+tau)/n, so only the leading order carries over: allow 0.5 at
+        # n = 64 beyond the sampling band (seeds 1, 2, 3, 7 read 11.03 to
+        # 11.57 against 11.56)
+        tau, n = 0.5, self.N
+        leading = np.sqrt(2 * n * (1 + tau) / (np.pi * (1 - tau))) + 0.5
+        counts = self.counts(tau)
+        band = self.half_width(counts) + 0.5
+        assert abs(counts.mean() - leading) <= band
+        # the sign of rho matters: rho = -0.5 has about 4.2 real eigenvalues
+        assert abs(self.counts(-tau).mean() - leading) > band
+
+
 class TestLinearStatistics:
     def test_small_run_and_slope(self):
         grid = ExperimentGrid(n_values=(64, 128, 256), zeta=0.0 + 0.0j,
@@ -585,6 +634,19 @@ class TestGirko:
         with pytest.raises(ValueError):
             girko_consistency(np.zeros((512, 512)), Bump(), 1e-4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad, monkeypatch):
+        # the ctypes Hessenberg reduction checks nothing, so a NaN or inf
+        # entry must stop before any eigenvalue or quadrature call
+        def never(*args, **kwargs):
+            raise AssertionError("called on a non-finite X")
+        for name in ("_eig", "hessenberg", "adaptive_quad2d"):
+            monkeypatch.setattr(harness, name, never)
+        mat = _random_matrix(16, 2)
+        mat[3, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            girko_consistency(mat, Bump(center=0.0, radius=0.6), quad_tol=1e-4)
+
 
 def _random_matrix(n, seed):
     rng = np.random.default_rng(seed)
@@ -614,6 +676,75 @@ def _assert_matches_slogdet(a, nodes):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+def hessenberg_routes(monkeypatch):
+    """Yield "openblas" (where numpy ships one), then "fallback", the
+    `scipy.linalg.hessenberg` route of a numpy built against a system BLAS;
+    the caller's loop body reduces on the route yielded, and the fallback
+    stays for the rest of the test."""
+    if spectral._hessenberg_lapack() is not None:
+        yield "openblas"
+    monkeypatch.setattr(spectral, "_hessenberg_lapack", lambda: None)
+    yield "fallback"
+
+
+@contextlib.contextmanager
+def scipy_blas_on_one_thread():
+    """Hold the OpenBLAS bundled with scipy, where it ships one, at one thread.
+
+    Above LAPACK's crossover (n > 128) the reduction is blocked, and its
+    GEMMs round differently on more threads; `spectral.hessenberg` holds
+    numpy's library at one thread, so the fallback is compared on one too.
+    """
+    import scipy
+    libdir = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    libs = sorted(libdir.glob("libscipy_openblas*.so"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if get is None or set_ is None:
+        yield
+        return
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
+class TestHessenbergRoutes:
+    """`spectral.hessenberg`: zgehrd on numpy's OpenBLAS, scipy without it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+    @pytest.mark.parametrize("kind", ["complex", "real-valued"])
+    def test_routes_bit_identical(self, n, kind, monkeypatch):
+        a = _random_matrix(n, 20 + n)
+        if kind == "real-valued":
+            a = a.real.astype(complex)
+        reduced = {}
+        with scipy_blas_on_one_thread():
+            for route in hessenberg_routes(monkeypatch):
+                reduced[route] = spectral.hessenberg(a)
+        for route, h in reduced.items():
+            assert h.dtype == np.complex128, route
+            assert not np.tril(h, -2).any(), route
+            if n <= 2:
+                assert np.array_equal(h, a), route
+        assert len({h.tobytes() for h in reduced.values()}) == 1
+
+    def test_input_left_alone(self):
+        # already Fortran-ordered complex128: the reduction still works on a copy
+        a = np.asfortranarray(_random_matrix(16, 31))
+        before = a.copy()
+        spectral.hessenberg(a)
+        assert np.array_equal(a, before)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral.hessenberg(np.zeros((3, 4), dtype=complex))
+
+
 def _count_rescales(monkeypatch) -> list:
     """Record each call of the Hyman rescaling in the returned list."""
     calls = []
@@ -630,8 +761,9 @@ class TestHymanLogDet:
     """Hessenberg + Hyman log|det(X - zeta)| against LU (slogdet)."""
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
-    def test_random_nodes(self, n):
-        _assert_matches_slogdet(_random_matrix(n, n), _random_nodes(40, n + 1))
+    def test_random_nodes(self, n, monkeypatch):
+        for route in hessenberg_routes(monkeypatch):
+            _assert_matches_slogdet(_random_matrix(n, n), _random_nodes(40, n + 1))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_scaled_matrix(self, scale):
@@ -647,14 +779,15 @@ class TestHymanLogDet:
             a[row, row - 1] = 1e-300
         _assert_matches_slogdet(a, _random_nodes(40, 6))
 
-    def test_block_diagonal_splits_at_zero_subdiagonal(self):
+    def test_block_diagonal_splits_at_zero_subdiagonal(self, monkeypatch):
         a = np.zeros((16, 16), dtype=complex)
         a[:5, :5] = _random_matrix(5, 7)
         a[5, 5] = 0.4 - 0.2j
         a[6:, 6:] = _random_matrix(10, 8)
-        blocks = harness._hessenberg_blocks(a)
-        assert [len(hb) for hb in blocks] == [5, 1, 10]
-        _assert_matches_slogdet(a, _random_nodes(40, 9))
+        for route in hessenberg_routes(monkeypatch):
+            blocks = harness._hessenberg_blocks(a)
+            assert [len(hb) for hb in blocks] == [5, 1, 10], route
+            _assert_matches_slogdet(a, _random_nodes(40, 9))
 
     def test_every_subdiagonal_entry_tiny(self, monkeypatch):
         # 15 entries of 1e-30 put 1e450 into x without a rescaling; each row's
