@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .bumps import TestFunction
+from .bumps import KINDS, TestFunction
 from .dyson import (
     DysonConvergenceError,
     EllipseRegion,
@@ -32,7 +32,7 @@ from .dyson import (
     solve_dyson,
     v_equation_residual,
 )
-from .ensemble import EnsembleSpec, moment_self_test, sample, save_matrix
+from .ensemble import BASES, EnsembleSpec, moment_self_test, sample, save_matrix
 from .harness import ExperimentGrid
 from .potential import log_potential
 from .quad2d import QuadratureError
@@ -475,8 +475,7 @@ def _add_sample(p, *scan: str) -> None:
         p.add_argument(f"--{flag}", **_SCAN_FLAGS[flag])
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
-                   default="gaussian")
+    p.add_argument("--base", choices=BASES, default="gaussian")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
-                   default="gaussian")
+    p.add_argument("--base", choices=BASES, default="gaussian")
     p.add_argument("--trial", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     _add_output(p, report=False)
@@ -528,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--base", choices=("gaussian", "rademacher-mixture"),
-                   default="gaussian")
+    p.add_argument("--base", choices=BASES, default="gaussian")
     p.add_argument("--zeta", type=parse_complex, nargs="+", required=True)
     p.add_argument("--eta", type=_positive_float, nargs="+", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=1)
@@ -551,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(zeta=0j, beta=0.5)
         if name == "linstats":
             p.add_argument("--alpha", type=float, default=0.25)
-            p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
-                           default="polynomial-bump")
+            p.add_argument("--kind", choices=KINDS, default="polynomial-bump")
         p.set_defaults(func=cmd_grid_experiment)
 
     # girko-check prints its result and writes nothing
@@ -560,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     _add_sample(p, "zeta")
     p.add_argument("--radius", type=float, default=0.5)
-    p.add_argument("--kind", choices=("polynomial-bump", "gaussian-bump"),
-                   default="polynomial-bump")
+    p.add_argument("--kind", choices=KINDS, default="polynomial-bump")
     p.add_argument("--quad-tol", type=float, default=1e-4)
     p.add_argument("--gate", type=_positive_float, default=1e-3)
     p.set_defaults(func=cmd_girko)

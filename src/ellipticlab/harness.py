@@ -361,14 +361,14 @@ def _iso_law_summary(records, grid, _state):
 
 
 def _deloc_setup(grid, n):
-    # e1, the uniform and alternating unit vectors, and four seeded random units
-    probes = _probe_family(n, (("e1", 0),), "rand", 4, grid.seed)
-    norms = np.array([np.linalg.norm(w) for _, w in probes])
-    return EllipseRegion(grid.rho, grid.delta), probes, norms
+    # e1, the uniform and alternating unit vectors, and four seeded random
+    # units, as the rows of one conjugated matrix
+    labels, probes = zip(*_probe_family(n, (("e1", 0),), "rand", 4, grid.seed))
+    return EllipseRegion(grid.rho, grid.delta), labels, np.stack(probes).conj()
 
 
 def _deloc_observe(ctx, state):
-    region, probes, norms = state
+    region, labels, probes_conj = state
     n, a = ctx.n, _real_if_real(ctx.x.entries)
     vals, vecs = ctx.eigenvalues, ctx.eigenvectors
     if np.isrealobj(a):
@@ -379,11 +379,11 @@ def _deloc_observe(ctx, state):
     resid = np.linalg.norm(xv - vecs * vals, axis=0)
     defective = resid > EIGVEC_RESIDUAL_GATE
     bulk = np.asarray(region.contains(vals)) & ~defective
-    overlaps = np.abs(np.stack([w for _, w in probes]).conj() @ vecs[:, bulk])
+    overlaps = np.abs(probes_conj @ vecs[:, bulk])
     envelope = float(np.sqrt(np.log(n)))
     out = []
-    for idx, (label, _) in enumerate(probes):
-        stat = float(np.sqrt(n) * overlaps[idx].max() / norms[idx]) if bulk.any() else 0.0
+    for label, row in zip(labels, overlaps):
+        stat = float(np.sqrt(n) * row.max()) if bulk.any() else 0.0
         out.append(ExperimentRecord(
             experiment="delocalisation", n=n, trial=ctx.trial, zeta=0.0,
             eta=0.0, observed=stat, envelope=envelope,
@@ -770,7 +770,11 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
     Where a block's residual is exactly 0 at a node (X - zeta singular),
     the node's value is the sum of the logs of the singular values of
     X - zeta, the zero ones floored at 1e-300.  A non-finite entry of X
-    raises ValueError before any eigenvalue or quadrature call.
+    raises ValueError before any eigenvalue or quadrature call.  One
+    `SINGLE_THREADED_BLAS` pin holds from the eigenvalues through the
+    reduction and the quadrature: above n = 128 LAPACK's blocked paths
+    round differently on more threads, so the discrepancy would otherwise
+    depend on the OpenBLAS thread count.
     """
     a = x.entries if isinstance(x, EllipticMatrix) else np.asarray(x, dtype=complex)
     n = a.shape[0]
@@ -779,45 +783,46 @@ def girko_consistency(x, tf: TestFunction, quad_tol: float = 1e-4) -> float:
             f"girko_consistency is a dense-quadrature check; need n <= {GIRKO_MAX_N}")
     if not np.isfinite(a).all():
         raise ValueError("girko_consistency needs a finite X")
-    eigs = _eig(a, vectors=False)
-    lhs = float(np.mean(np.real(tf.f(eigs))))
-
-    r0 = _EXCLUSION_RADIUS
-    diag = np.arange(n)
-    blocks = _hessenberg_blocks(a)
-    chunk = max(1, _HYMAN_ENTRIES // n)
-    work = np.empty(n * chunk, dtype=complex)
-
-    def integrand(pts):
-        lap = np.real(tf.laplacian(pts))
-        # off the bump's support Delta f is exactly 0, and so is the value
-        support = np.flatnonzero(lap)
-        out = np.zeros(pts.size)
-        for start in range(0, support.size, chunk):
-            at = support[start:start + chunk]
-            nodes = pts[at]
-            logdet = sum(_hyman_log_abs_det(hb, nodes, work) for hb in blocks)
-            singular = np.isneginf(logdet)
-            if singular.any():
-                # A - zeta exactly singular at a node: floor the zero singular
-                # values only, as the log pole is patched below
-                shifted = np.repeat(a[None], int(singular.sum()), axis=0)
-                shifted[:, diag, diag] -= nodes[singular, None]
-                svals = np.linalg.svd(shifted, compute_uv=False)
-                logdet[singular] = np.sum(np.log(np.maximum(svals, 1e-300)), axis=1)
-            # flatten the log pole inside the exclusion disks
-            dist = np.abs(nodes[:, None] - eigs[None, :])
-            close = dist < r0
-            if close.any():
-                patch = np.where(close, np.log(r0 / np.maximum(dist, 1e-300)), 0.0)
-                logdet = logdet + patch.sum(axis=1)
-            out[at] = logdet
-        return lap * out / (2.0 * np.pi * n)
-
-    c, r = tf.center, tf.radius
-    box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
-    # the per-node matvecs are small: multithreaded BLAS only adds overhead
+    # one pin for the whole check (see above); the per-node matvecs are small,
+    # so multithreaded BLAS would only add overhead there anyway
     with SINGLE_THREADED_BLAS:
+        eigs = _eig(a, vectors=False)
+        lhs = float(np.mean(np.real(tf.f(eigs))))
+
+        r0 = _EXCLUSION_RADIUS
+        diag = np.arange(n)
+        blocks = _hessenberg_blocks(a)
+        chunk = max(1, _HYMAN_ENTRIES // n)
+        work = np.empty(n * chunk, dtype=complex)
+
+        def integrand(pts):
+            lap = np.real(tf.laplacian(pts))
+            # off the bump's support Delta f is exactly 0, and so is the value
+            support = np.flatnonzero(lap)
+            out = np.zeros(pts.size)
+            for start in range(0, support.size, chunk):
+                at = support[start:start + chunk]
+                nodes = pts[at]
+                logdet = sum(_hyman_log_abs_det(hb, nodes, work) for hb in blocks)
+                singular = np.isneginf(logdet)
+                if singular.any():
+                    # A - zeta exactly singular at a node: floor the zero singular
+                    # values only, as the log pole is patched below
+                    shifted = np.repeat(a[None], int(singular.sum()), axis=0)
+                    shifted[:, diag, diag] -= nodes[singular, None]
+                    svals = np.linalg.svd(shifted, compute_uv=False)
+                    logdet[singular] = np.sum(np.log(np.maximum(svals, 1e-300)), axis=1)
+                # flatten the log pole inside the exclusion disks
+                dist = np.abs(nodes[:, None] - eigs[None, :])
+                close = dist < r0
+                if close.any():
+                    patch = np.where(close, np.log(r0 / np.maximum(dist, 1e-300)), 0.0)
+                    logdet = logdet + patch.sum(axis=1)
+                out[at] = logdet
+            return lap * out / (2.0 * np.pi * n)
+
+        c, r = tf.center, tf.radius
+        box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
         val, _ = adaptive_quad2d(integrand, box, tol=quad_tol, max_depth=14)
     # analytic value of the excluded log-singular disks
     inside = np.abs(eigs - c) <= r + r0

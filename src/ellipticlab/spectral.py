@@ -12,12 +12,14 @@ laws and the error matrix; the SVD form above is its test reference.  Each
 inverse is of a Hermitian positive definite Gram matrix.  Where numpy ships
 its own OpenBLAS, `zherk` forms it and `zpotrf` + `zpotri` invert it, called
 through ctypes, which releases the GIL, so trials in a thread pool factor in
-parallel; on a numpy built against a system BLAS a GEMM and `inv` do it.
-This module is the one owner of that library: `_openblas` opens it once,
-and `SINGLE_THREADED_BLAS` holds it at one thread for the harness's trial
-pool and Girko quadrature, which call numpy and no scipy BLAS.  The Girko
-check's Hessenberg reduction (`hessenberg`) is that library's `zgehrd`,
-with `scipy.linalg.hessenberg` as the fallback on a system BLAS.
+parallel.  The Girko check's Hessenberg reduction (`hessenberg`) is that
+library's `zgehrd`, and `SINGLE_THREADED_BLAS` holds it at one thread for
+the harness's trial pool and Girko check, which call numpy and no scipy BLAS.
+This module is the one owner of that library, and `_openblas` the one
+switch: it opens the library once and binds all six routines the module
+calls.  On a numpy built against a system BLAS it returns None, and all
+three routes fall back together: a GEMM and `inv`, `scipy.linalg.hessenberg`,
+and no pin.
 
 The error norm's random test matrices are a function of 2n alone; their
 power-estimated 2-norms are kept per 2n (four floats), so later calls at one
@@ -330,40 +332,37 @@ def default_test_matrices(n2: int):
 
 @functools.cache
 def _openblas():
-    """The OpenBLAS bundled with numpy, opened on the first call; None for a
-    build against a system BLAS."""
+    """The OpenBLAS bundled with numpy, opened on the first call with its six
+    routines bound to their ctypes signatures: `zherk`, `zpotrf`, `zpotri`,
+    `zgehrd` (64-bit integers) and the thread-count getter and setter.
+
+    None for a numpy built against a system BLAS, or a library that lacks
+    any of the six: this is the one switch, so every route falls back together.
+    """
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libdir.glob("libscipy_openblas64_*.so"))
-    return ctypes.CDLL(str(paths[0])) if paths else None
-
-
-def _routine(name: str, argtypes: list, restype=None):
-    """`name` from numpy's bundled OpenBLAS with its ctypes signature, or None."""
-    routine = getattr(_openblas(), name, None)
-    if routine is not None:
-        routine.argtypes, routine.restype = argtypes, restype
-    return routine
-
-
-@functools.cache
-def _hermitian_lapack():
-    """zherk, zpotrf and zpotri (64-bit integers) of numpy's bundled OpenBLAS, or None."""
+    if not paths:
+        return None
+    lib = ctypes.CDLL(str(paths[0]))
     # Fortran: every argument by reference, then a hidden length per character one
     char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    routines = (_routine("scipy_zherk_64_",
-                         [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size]),
-                _routine("scipy_zpotrf_64_", [char, i64, ptr, i64, i64, size]),
-                _routine("scipy_zpotri_64_", [char, i64, ptr, i64, i64, size]))
-    return None if None in routines else routines
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    get = _routine("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
-    set_ = _routine("scipy_openblas_set_num_threads64_", [ctypes.c_int])
-    return None if get is None or set_ is None else (get, set_)
+    signatures = {
+        "scipy_zherk_64_": [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size],
+        "scipy_zpotrf_64_": [char, i64, ptr, i64, i64, size],
+        "scipy_zpotri_64_": [char, i64, ptr, i64, i64, size],
+        # N, ILO, IHI, A, LDA, TAU, WORK, LWORK, INFO; no character arguments
+        "scipy_zgehrd_64_": [i64, i64, i64, ptr, i64, ptr, ptr, i64, i64],
+        "scipy_openblas_get_num_threads64_": [],
+        "scipy_openblas_set_num_threads64_": [ctypes.c_int],
+    }
+    for name, argtypes in signatures.items():
+        routine = getattr(lib, name, None)
+        if routine is None:
+            return None
+        routine.argtypes, routine.restype = argtypes, None
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    return lib
 
 
 class _SingleThreadedBlas:
@@ -377,21 +376,23 @@ class _SingleThreadedBlas:
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
+        self._lib = None        # the library the first holder pinned, until the last leaves
         self._saved = 0
 
     def __enter__(self):
         with self._lock:
-            if self._holders == 0 and _blas_threads():
-                get, set_ = _blas_threads()
-                self._saved = get()
-                set_(1)
+            if self._holders == 0:
+                self._lib = _openblas()
+                if self._lib is not None:
+                    self._saved = self._lib.scipy_openblas_get_num_threads64_()
+                    self._lib.scipy_openblas_set_num_threads64_(1)
             self._holders += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._holders -= 1
-            if self._holders == 0 and _blas_threads():
-                _blas_threads()[1](self._saved)
+            if self._holders == 0 and self._lib is not None:
+                self._lib.scipy_openblas_set_num_threads64_(self._saved)
 
 
 SINGLE_THREADED_BLAS = _SingleThreadedBlas()
@@ -406,12 +407,11 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
     `zpotrf` pivot raises LinAlgError.  Without that library: a GEMM and `inv`.
     """
     n = a.shape[0]
-    lapack = _hermitian_lapack()
-    if lapack is None:
+    lib = _openblas()
+    if lib is None:
         gram = a.conj().T @ a if adjoint else a @ a.conj().T
         gram[np.diag_indices(n)] += eta ** 2
         return np.linalg.inv(gram)
-    herk, potrf, potri = lapack
     a = np.ascontiguousarray(a, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"A must be square, got shape {a.shape}")
@@ -422,11 +422,11 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
     # LAPACK reads a C-ordered matrix as its transpose: trans "C" forms
     # conj(A A^H) = (A A^H)^T, i.e. A A^H in C order, and its "L" triangle is
     # our upper one
-    herk(b"L", b"N" if adjoint else b"C", ref(dim), ref(dim), ref(ctypes.c_double(1.0)),
-         a.ctypes.data, ref(dim), ref(ctypes.c_double(0.0)), out.ctypes.data, ref(dim),
-         one, one)
+    lib.scipy_zherk_64_(b"L", b"N" if adjoint else b"C", ref(dim), ref(dim),
+                        ref(ctypes.c_double(1.0)), a.ctypes.data, ref(dim),
+                        ref(ctypes.c_double(0.0)), out.ctypes.data, ref(dim), one, one)
     out[np.diag_indices(n)] += eta ** 2
-    for routine in (potrf, potri):
+    for routine in (lib.scipy_zpotrf_64_, lib.scipy_zpotri_64_):
         routine(b"L", ref(dim), out.ctypes.data, ref(dim), ref(info), one)
         if info.value:
             raise np.linalg.LinAlgError(
@@ -434,14 +434,6 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
                 f"(LAPACK info {info.value})")
     np.copyto(out, out.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     return out
-
-
-@functools.cache
-def _hessenberg_lapack():
-    """zgehrd (64-bit integers) of numpy's bundled OpenBLAS, or None."""
-    ptr, i64 = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
-    # N, ILO, IHI, A, LDA, TAU, WORK, LWORK, INFO; no character arguments
-    return _routine("scipy_zgehrd_64_", [i64, i64, i64, ptr, i64, ptr, ptr, i64, i64])
 
 
 def hessenberg(a) -> np.ndarray:
@@ -462,8 +454,8 @@ def hessenberg(a) -> np.ndarray:
     n = a.shape[0]
     if n <= 2:
         return a
-    gehrd = _hessenberg_lapack()
-    if gehrd is None:
+    lib = _openblas()
+    if lib is None:
         # imported here: loading scipy.linalg costs more than importing this package
         from scipy.linalg import hessenberg as scipy_hessenberg
         return scipy_hessenberg(a.astype(complex, copy=False), check_finite=False)
@@ -473,8 +465,9 @@ def hessenberg(a) -> np.ndarray:
     ref = ctypes.byref
 
     def reduce(work: np.ndarray, lwork: int):
-        gehrd(ref(dim), ref(first), ref(dim), h.ctypes.data, ref(dim), tau.ctypes.data,
-              work.ctypes.data, ref(ctypes.c_int64(lwork)), ref(info))
+        lib.scipy_zgehrd_64_(ref(dim), ref(first), ref(dim), h.ctypes.data, ref(dim),
+                             tau.ctypes.data, work.ctypes.data, ref(ctypes.c_int64(lwork)),
+                             ref(info))
         if info.value:
             raise ValueError(f"zgehrd rejected argument {-info.value}")
 

@@ -564,15 +564,15 @@ class TestExperimentConfig:
         assert section in capsys.readouterr().err
 
     def test_failed_factor_exits_three(self, tmp_path, capsys, monkeypatch):
-        if spectral._hermitian_lapack() is None:
+        lib = spectral._openblas()
+        if lib is None:
             pytest.skip("numpy ships no OpenBLAS here")
-        herk, potrf, potri = spectral._hermitian_lapack()
+        potrf = lib.scipy_zpotrf_64_
 
         def failing_potrf(*args):
             potrf(*args)
             args[4]._obj.value = 1      # info > 0: not positive definite
-        monkeypatch.setattr(spectral, "_hermitian_lapack",
-                            lambda: (herk, failing_potrf, potri))
+        monkeypatch.setattr(lib, "scipy_zpotrf_64_", failing_potrf)
         cfg = self._mini_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
         assert main(["experiment", cfg, "--threads", "2"]) == 3
         captured = capsys.readouterr()

@@ -124,18 +124,6 @@ class TestThreads:
             assert [r.to_dict() for r in a[name].records] == \
                 [r.to_dict() for r in b[name].records]
 
-    @pytest.fixture
-    def blas(self):
-        """The thread-count getter of numpy's bundled OpenBLAS, set to 2 for the test."""
-        controls = spectral._blas_threads()
-        if controls is None:
-            pytest.skip("no bundled OpenBLAS found")
-        get, set_ = controls
-        saved = get()
-        set_(2)
-        yield get
-        set_(saved)
-
     @staticmethod
     def _wrap_setup(monkeypatch, name, wrap):
         """Replace registry entry `name`'s setup by wrap(its setup)."""
@@ -294,6 +282,25 @@ class TestAveragedLaw:
         running_min = np.minimum.accumulate(medians)
         assert np.all(np.array(medians) <= 4.0 * running_min + 1e-12)
 
+    def test_optimal_rate_on_every_mesoscopic_scale(self):
+        # the paper's rate 1/(n eta) on all scales eta = n^-beta, beta < 1:
+        # n eta times the median error is flat in beta (about 0.14 here,
+        # while n eta runs from 84 down to 1.06), each beta within three of
+        # its own trials' standard errors of the median over beta
+        n, trials = 256, 10
+        scaled, errors = [], []
+        for beta in (0.2, 0.4, 0.6, 0.75, 0.9, 0.99):
+            grid = ExperimentGrid(n_values=(n,), zeta=0.3 + 0.2j, beta=beta,
+                                  trials=trials, delta=0.1, seed=1, rho=0.5)
+            x = n * grid.eta(n) * np.array(
+                [r.observed for r in averaged_local_law(grid, threads=2).records])
+            scaled.append(np.median(x))
+            # the standard error of a median, sqrt(pi / 2) sd / sqrt(trials)
+            errors.append(1.2533 * x.std(ddof=1) / np.sqrt(trials))
+        centre = np.median(scaled)
+        assert np.all(np.abs(np.array(scaled) - centre) <= 3.0 * np.array(errors)), \
+            (scaled, errors)
+
     @pytest.mark.parametrize("n", [1, 8, 32])
     def test_observed_matches_dense_inverse(self, n):
         # |<G> - i v|, with <G> from a dense inverse of the 2n x 2n
@@ -393,7 +400,8 @@ class TestDelocalisation:
         rep = delocalisation_test(spec, delta=delta, trials=1)
         got = {r.extras["probe"]: r for r in rep.records}
         want = {"e1": np.sqrt(n), "uniform": 1.0, "alternating": 1.0}
-        for label, w in harness._deloc_setup(harness._spec_grid(spec), n)[1]:
+        _, labels, probes_conj = harness._deloc_setup(harness._spec_grid(spec), n)
+        for label, w in zip(labels, probes_conj.conj()):
             if label.startswith("rand"):
                 want[label] = np.sqrt(n) * np.abs(w[inside]).max()
         assert got.keys() == want.keys()
@@ -634,6 +642,20 @@ class TestGirko:
         with pytest.raises(ValueError):
             girko_consistency(np.zeros((512, 512)), Bump(), 1e-4)
 
+    def test_discrepancy_independent_of_blas_threads(self, blas):
+        # above n = 128 LAPACK's eigenvalue and Hessenberg paths are blocked,
+        # and their GEMMs round differently on 2 threads: one pin holds the
+        # whole check at one thread, whatever count the caller left
+        lib = spectral._openblas()
+        mat = sample(EnsembleSpec(n=256, rho=0.5, seed=1))
+        tf = Bump(center=0.0, radius=0.3)
+        disc = {}
+        for threads in (2, 1):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            disc[threads] = girko_consistency(mat, tf, quad_tol=1e-4)
+            assert blas() == threads
+        assert disc[1] == disc[2]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad, monkeypatch):
         # the ctypes Hessenberg reduction checks nothing, so a NaN or inf
@@ -676,17 +698,6 @@ def _assert_matches_slogdet(a, nodes):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def hessenberg_routes(monkeypatch):
-    """Yield "openblas" (where numpy ships one), then "fallback", the
-    `scipy.linalg.hessenberg` route of a numpy built against a system BLAS;
-    the caller's loop body reduces on the route yielded, and the fallback
-    stays for the rest of the test."""
-    if spectral._hessenberg_lapack() is not None:
-        yield "openblas"
-    monkeypatch.setattr(spectral, "_hessenberg_lapack", lambda: None)
-    yield "fallback"
-
-
 @contextlib.contextmanager
 def scipy_blas_on_one_thread():
     """Hold the OpenBLAS bundled with scipy, where it ships one, at one thread.
@@ -718,13 +729,13 @@ class TestHessenbergRoutes:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
     @pytest.mark.parametrize("kind", ["complex", "real-valued"])
-    def test_routes_bit_identical(self, n, kind, monkeypatch):
+    def test_routes_bit_identical(self, n, kind, blas_routes):
         a = _random_matrix(n, 20 + n)
         if kind == "real-valued":
             a = a.real.astype(complex)
         reduced = {}
         with scipy_blas_on_one_thread():
-            for route in hessenberg_routes(monkeypatch):
+            for route in blas_routes():
                 reduced[route] = spectral.hessenberg(a)
         for route, h in reduced.items():
             assert h.dtype == np.complex128, route
@@ -761,8 +772,8 @@ class TestHymanLogDet:
     """Hessenberg + Hyman log|det(X - zeta)| against LU (slogdet)."""
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
-    def test_random_nodes(self, n, monkeypatch):
-        for route in hessenberg_routes(monkeypatch):
+    def test_random_nodes(self, n, blas_routes):
+        for route in blas_routes():
             _assert_matches_slogdet(_random_matrix(n, n), _random_nodes(40, n + 1))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
@@ -779,12 +790,12 @@ class TestHymanLogDet:
             a[row, row - 1] = 1e-300
         _assert_matches_slogdet(a, _random_nodes(40, 6))
 
-    def test_block_diagonal_splits_at_zero_subdiagonal(self, monkeypatch):
+    def test_block_diagonal_splits_at_zero_subdiagonal(self, blas_routes):
         a = np.zeros((16, 16), dtype=complex)
         a[:5, :5] = _random_matrix(5, 7)
         a[5, 5] = 0.4 - 0.2j
         a[6:, 6:] = _random_matrix(10, 8)
-        for route in hessenberg_routes(monkeypatch):
+        for route in blas_routes():
             blocks = harness._hessenberg_blocks(a)
             assert [len(hb) for hb in blocks] == [5, 1, 10], route
             _assert_matches_slogdet(a, _random_nodes(40, 9))

@@ -1,5 +1,9 @@
 """Spectral engine against dense-inverse, eigensolver, and hand-computed oracles."""
 
+import ctypes
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,17 +42,6 @@ def small_matrix(n=8, seed=0, rho=0.5, mu=1.0):
 def dense_resolvent(dec_input, zeta, eta):
     h = hermitize(dec_input, zeta).matrix
     return np.linalg.inv(h - 1j * eta * np.eye(h.shape[0]))
-
-
-def gram_routes(monkeypatch):
-    """Yield "openblas" (where numpy ships one), then "fallback", the GEMM + `inv`
-    route of a numpy built against a system BLAS; the caller's loop body runs
-    its Gram inverses on the route yielded, and the fallback stays for the rest
-    of the test."""
-    if spectral._hermitian_lapack() is not None:
-        yield "openblas"
-    monkeypatch.setattr(spectral, "_hermitian_lapack", lambda: None)
-    yield "fallback"
 
 
 class TestHermitization:
@@ -280,14 +273,14 @@ class TestResolventSolver:
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-12])
     @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0, 1e3])
-    def test_blocks_match_the_svd_formula(self, n, eta, zeta, monkeypatch):
+    def test_blocks_match_the_svd_formula(self, n, eta, zeta, blas_routes):
         # G22 from its own inverse: (i/eta)(I - A^H W A) cancels at small eta
         mat = small_matrix(n=n, seed=9, rho=0.4, mu=0.7)
         u, s, vh = np.linalg.svd(mat.entries - zeta * np.eye(n))
         v, f = vh.conj().T, 1.0 / (s ** 2 + eta ** 2)
         oracle = [(u * f) @ u.conj().T, (u * (1j * eta * f)) @ u.conj().T,
                   (u * (s * f)) @ vh, (v * (s * f)) @ u.conj().T, (v * (1j * eta * f)) @ vh]
-        for route in gram_routes(monkeypatch):
+        for route in blas_routes():
             solver = ResolventSolver(mat.entries, zeta, eta)
             for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
                                           (solver.w, *solver.blocks), oracle):
@@ -297,7 +290,7 @@ class TestResolventSolver:
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-12])
     @pytest.mark.parametrize("zeta", [0.2 + 0.1j, 0.0, 1e3])
-    def test_factor_matches_the_dense_inverse(self, n, eta, zeta, monkeypatch):
+    def test_factor_matches_the_dense_inverse(self, n, eta, zeta, blas_routes):
         # errors in units of the dense inverse's own: eps cond(H - i eta) max|G|
         mat = small_matrix(n=n, seed=9, rho=0.4, mu=0.7)
         g = dense_resolvent(mat, zeta, eta)
@@ -306,7 +299,7 @@ class TestResolventSolver:
         unit = np.finfo(float).eps * np.hypot(s[0], eta) * g_max ** 2
         dense = [g[:n, :n] / (1j * eta), g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]]
         y = np.random.default_rng(2).standard_normal((2 * n, 3)) + 0j
-        for route in gram_routes(monkeypatch):
+        for route in blas_routes():
             solver = ResolventSolver(mat.entries, zeta, eta)
             for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
                                           (solver.w, *solver.blocks), dense):
@@ -320,7 +313,7 @@ class TestResolventSolver:
             assert err[n:].max() <= 16 * unit * np.abs(y).max() * (1 + s[0] / eta), route
 
     def test_routes_agree_and_the_fallback_calls_inv(self, monkeypatch):
-        if spectral._hermitian_lapack() is None:
+        if spectral._openblas() is None:
             pytest.skip("numpy ships no OpenBLAS here")
         mat = small_matrix(n=48, seed=4)
         inv_calls = []
@@ -329,7 +322,7 @@ class TestResolventSolver:
         lapack = ResolventSolver(mat.entries, 0.1, 0.05)
         lapack_blocks = lapack.blocks
         assert inv_calls == []
-        monkeypatch.setattr(spectral, "_hermitian_lapack", lambda: None)
+        monkeypatch.setattr(spectral, "_openblas", lambda: None)
         fallback = ResolventSolver(mat.entries, 0.1, 0.05)
         assert inv_calls == [(48, 48)]
         for got, want in zip((lapack.w, *lapack_blocks), (fallback.w, *fallback.blocks)):
@@ -339,24 +332,93 @@ class TestResolventSolver:
         assert np.array_equal(lapack.w, lapack.w.conj().T)
         assert lapack.avg_trace().real == 0.0
 
-    def test_singular_gram_raises(self, monkeypatch):
+    def test_singular_gram_raises(self, blas_routes):
         # eta^2 underflows to 0, so the Gram of A = 0 is exactly singular
-        for _ in gram_routes(monkeypatch):
+        for _ in blas_routes():
             with pytest.raises(np.linalg.LinAlgError):
                 ResolventSolver(np.zeros((3, 3)), 0.0, 1e-170)
 
     def test_a_failed_cholesky_raises(self, monkeypatch):
-        if spectral._hermitian_lapack() is None:
+        lib = spectral._openblas()
+        if lib is None:
             pytest.skip("numpy ships no OpenBLAS here")
-        herk, potrf, potri = spectral._hermitian_lapack()
+        potrf = lib.scipy_zpotrf_64_
 
         def failing_potrf(*args):
             potrf(*args)
             args[4]._obj.value = 2      # info: the leading minor of order 2 is not positive
-        monkeypatch.setattr(spectral, "_hermitian_lapack",
-                            lambda: (herk, failing_potrf, potri))
+        monkeypatch.setattr(lib, "scipy_zpotrf_64_", failing_potrf)
         with pytest.raises(np.linalg.LinAlgError, match="info 2"):
             ResolventSolver(small_matrix(n=8).entries, 0.0, 0.1)
+
+
+class TestOpenblasSwitch:
+    """`_openblas()` is the one switch between numpy's bundled OpenBLAS and a system BLAS."""
+
+    ROUTINES = ("scipy_zherk_64_", "scipy_zpotrf_64_", "scipy_zpotri_64_",
+                "scipy_zgehrd_64_", "scipy_openblas_get_num_threads64_",
+                "scipy_openblas_set_num_threads64_")
+
+    @pytest.fixture
+    def stub_library(self, tmp_path, monkeypatch):
+        """load(names) puts one library file in a `numpy.libs` beside a stand-in
+        numpy and makes ctypes.CDLL open a stub with the named routines."""
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-stub.so").touch()
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+
+        def load(names):
+            lib = types.SimpleNamespace(**{name: types.SimpleNamespace() for name in names})
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+            return lib
+        return load
+
+    def test_every_routine_bound(self, stub_library):
+        lib = stub_library(self.ROUTINES)
+        assert spectral._openblas.__wrapped__() is lib
+        assert lib.scipy_zgehrd_64_.restype is None
+        assert lib.scipy_openblas_get_num_threads64_.restype is ctypes.c_int
+        assert lib.scipy_openblas_set_num_threads64_.argtypes == [ctypes.c_int]
+
+    @pytest.mark.parametrize("missing", ROUTINES)
+    def test_a_missing_routine_switches_every_route(self, stub_library, missing):
+        stub_library([name for name in self.ROUTINES if name != missing])
+        assert spectral._openblas.__wrapped__() is None
+
+    def test_bundled_library_is_bound(self):
+        # a numpy upgrade that renames a symbol must fail here, not move every
+        # Gram inverse to GEMM + inv without a word
+        libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not list(libdir.glob("libscipy_openblas64_*.so")):
+            pytest.skip("numpy ships no OpenBLAS here")
+        assert spectral._openblas() is not None
+
+    def test_one_switch_moves_every_route(self, blas, blas_routes, monkeypatch):
+        import scipy.linalg
+        calls = []
+        for module, name in ((np.linalg, "inv"), (scipy.linalg, "hessenberg")):
+            def recording(*args, name=name, fn=getattr(module, name), **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        a = small_matrix(n=16).entries
+        seen = {}
+        for route in blas_routes():
+            calls.clear()
+            with spectral.SINGLE_THREADED_BLAS:
+                pinned = blas()
+            spectral._gram_inverse(a, 0.1)
+            spectral.hessenberg(a)
+            seen[route] = (pinned, sorted(calls))
+        want = {"openblas": (1, []), "fallback": (2, ["hessenberg", "inv"])}
+        assert seen == {route: want[route] for route in seen}
+        assert "fallback" in seen
+
+    def test_pin_restored_through_the_library_that_set_it(self, blas, monkeypatch):
+        with spectral.SINGLE_THREADED_BLAS:
+            assert blas() == 1
+            monkeypatch.setattr(spectral, "_openblas", lambda: None)
+        assert blas() == 2
 
 
 class TestErrorMatrix:
