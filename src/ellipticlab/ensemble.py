@@ -113,8 +113,7 @@ def sample(spec: EnsembleSpec, trial: int = 0) -> EllipticMatrix:
     """Draw one elliptic matrix; a pure function of (spec, trial)."""
     n, rho, mu = spec.n, spec.rho, spec.mu
     rng = rng_policy(spec.seed, trial)
-    iu, ju = np.triu_indices(n, k=1)
-    npairs = iu.size
+    npairs = n * (n - 1) // 2
 
     if spec.base == "gaussian":
         g = rng.standard_normal((4, npairs))
@@ -141,8 +140,11 @@ def sample(spec: EnsembleSpec, trial: int = 0) -> EllipticMatrix:
 
     scale = 1.0 / np.sqrt(n)
     x = np.zeros((n, n), dtype=complex)
-    x[iu, ju] = (re1 + 1j * im1) * scale
-    x[ju, iu] = (re2 + 1j * im2) * scale
+    # pair k is the k-th strict-upper entry in row-major order, as in np.triu_indices;
+    # the boolean mask fills x in that order and x.T its mirror
+    upper = ~np.tri(n, dtype=bool)
+    x[upper] = (re1 + 1j * im1) * scale
+    x.T[upper] = (re2 + 1j * im2) * scale
     x[np.diag_indices(n)] = diag * scale
     return EllipticMatrix(entries=x, spec=spec, trial=trial)
 

@@ -27,8 +27,10 @@ call of `run_experiments`.
 A sampled X whose entries are all real (the default mu = 1) is
 eigendecomposed by LAPACK's real driver, and deloc's residual X V is a real
 product; the eigenvalues and eigenvectors are complex128 either way.  The
-error-matrix experiment forms no 2n x 2n test matrix: its block tests are
-traced from D's four n x n block traces.
+error-matrix experiment forms no 2n x 2n matrix in a trial: it reads D one
+n x n block at a time, traces its block tests from D's four block traces,
+and shares the seeded random test matrices, drawn once per size, across
+the trials.
 
 The `threads` argument (at least 1) is the size of the one pool the tasks
 run in; while they and the per-n setups run, the OpenBLAS bundled with

@@ -21,9 +21,11 @@ calls.  On a numpy built against a system BLAS it returns None, and all
 three routes fall back together: a GEMM and `inv`, `scipy.linalg.hessenberg`,
 and no pin.
 
-The error norm's random test matrices are a function of 2n alone; their
-power-estimated 2-norms are kept per 2n (four floats), so later calls at one
-size redraw only the normals.
+The error matrix D = (H + Z + hat-S[G]) G is read one n x n block at a time
+from one reused buffer, so its norms take O(n^2) working memory and never
+form the 2n x 2n D; the dense `error_matrix` assembles the same blocks for
+the tests.  The error norm's random test matrices are a function of 2n
+alone; they are drawn once per size and held read-only for the latest size.
 """
 
 from __future__ import annotations
@@ -239,38 +241,72 @@ class SelfEnergyData:
         return cls(rho=spec.rho, p=shift * spec.rho / spec.n, q=shift / spec.n)
 
 
-def _hadamard(block_t: np.ndarray, coeff: complex) -> np.ndarray:
-    """coeff * (B^t with zeroed diagonal), the constant-profile Hadamard term."""
-    out = coeff * block_t.T
-    np.fill_diagonal(out, 0.0)
+def _self_energy_block(g, i: int, j: int, se: SelfEnergyData, out: np.ndarray) -> np.ndarray:
+    """Block (i, j) of hat-S[G], 0-based, from G's block rows g = ((G11, G12), (G21, G22)),
+    written into the n x n complex array `out`.
+
+    It reads G's block B = (1 - i, 1 - j): off the diagonal it is c B^t, with
+    the Hadamard coefficient c = p on diagonal blocks, q on block (0, 1) and
+    conj q on block (1, 0); on the diagonal, the normalized trace of B, times
+    rho on the off-diagonal blocks.
+    """
+    b = g[1 - i][1 - j]
+    tr = np.trace(b) / b.shape[0]
+    if i == j:
+        coeff, diag = se.p, tr
+    else:
+        coeff, diag = (se.q if i == 0 else np.conj(se.q)), se.rho * tr
+    # copied first: a ufunc reading b.T into a C-ordered out allocates its own scratch
+    np.copyto(out, b.T)
+    np.multiply(coeff, out, out=out)
+    np.fill_diagonal(out, diag)
     return out
 
 
 def self_energy_hat(g11, g12, g21, g22, se: SelfEnergyData):
     """Blocks of hat-S[G] = S[G] + Hadamard corrections."""
-    n = g11.shape[0]
-    tr = lambda b: np.trace(b) / n
-    k11 = tr(g22) * np.eye(n) + _hadamard(g22, se.p)
-    k12 = se.rho * tr(g21) * np.eye(n) + _hadamard(g21, se.q)
-    k21 = se.rho * tr(g12) * np.eye(n) + _hadamard(g12, np.conj(se.q))
-    k22 = tr(g11) * np.eye(n) + _hadamard(g11, se.p)
-    return k11, k12, k21, k22
+    g = ((g11, g12), (g21, g22))
+    return tuple(_self_energy_block(g, i, j, se, np.empty(g11.shape, dtype=complex))
+                 for i in range(2) for j in range(2))
+
+
+def _error_blocks(x, blocks, se: SelfEnergyData):
+    """D = (H + Z + hat-S[G]) G one n x n block at a time, in row-major order.
+
+    `blocks` are G's (G11, G12, G21, G22).  K = H + Z + hat-S[G] is built one
+    block row at a time (H + Z = [[0, X], [X^H, 0]] adds X to K12 and X^H to
+    K21), and each D_ij = K_i1 G_1j + K_i2 G_2j is written into one reused
+    buffer, so the working memory is four n x n buffers.  Yields (i, j, d,
+    spare), 0-based: `d` holds D_ij and `spare` is an n x n buffer the caller
+    may overwrite, both until the next block is asked for.
+    """
+    a = _entries(x)
+    n = a.shape[0]
+    g = (blocks[:2], blocks[2:])
+    left, right, d, spare = (np.empty((n, n), dtype=complex) for _ in range(4))
+    for i in range(2):
+        _self_energy_block(g, i, 0, se, out=left)
+        _self_energy_block(g, i, 1, se, out=right)
+        if i == 0:
+            right += a
+        else:
+            np.copyto(spare, a.T)
+            left += np.conjugate(spare, out=spare)
+        for j in range(2):
+            np.matmul(left, g[0][j], out=d)
+            d += np.matmul(right, g[1][j], out=spare)
+            yield i, j, d, spare
 
 
 def error_matrix(x, solver: ResolventSolver, se: SelfEnergyData) -> np.ndarray:
-    """D = (H + Z + hat-S[G]) G assembled as a full 2n x 2n matrix, G from `solver`."""
-    a = _entries(x)
-    n = a.shape[0]
-    g11, g12, g21, g22 = solver.blocks
-    k11, k12, k21, k22 = self_energy_hat(g11, g12, g21, g22, se)
-    # H + Z has blocks [[0, X], [X^H, 0]]
-    k12 = k12 + a
-    k21 = k21 + a.conj().T
+    """D = (H + Z + hat-S[G]) G assembled as a full 2n x 2n matrix, G from `solver`.
+
+    The tests' reference for `error_matrix_norms`, from the same block builder.
+    """
+    n = solver.n
     d = np.empty((2 * n, 2 * n), dtype=complex)
-    d[:n, :n] = k11 @ g11 + k12 @ g21
-    d[:n, n:] = k11 @ g12 + k12 @ g22
-    d[n:, :n] = k21 @ g11 + k22 @ g21
-    d[n:, n:] = k21 @ g12 + k22 @ g22
+    for i, j, block, _ in _error_blocks(x, solver.blocks, se):
+        d[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
     return d
 
 
@@ -301,33 +337,31 @@ BLOCK_TESTS = {
 }
 
 
-# 2n -> the four divisors of default_test_matrices(2n); scalars, never the matrices
-_TEST_MATRIX_SCALES: dict = {}
-
-
 def default_test_matrices(n2: int):
     """The four random test matrices of the averaged error norm, from seed 1.
 
     Each is divided by a 40-step power estimate of its 2-norm (a lower bound,
-    so the norms end slightly above 1) and stored Fortran-ordered, so that
-    B^T, which `error_matrix_norms` dots with D, is contiguous.  The estimates
-    are taken on the first call at each 2n and kept in `_TEST_MATRIX_SCALES`;
-    a later call redraws the normals and divides by the kept scales, which
-    gives the same bytes.  The four block tests of `BLOCK_TESTS` need no
-    matrix: their traces come from D's block traces.
+    so the norms end slightly above 1).  They depend on 2n alone, so they are
+    drawn once per size and held read-only, as drawn, for the latest size
+    only (`_seeded_test_matrices`); a call at another size replaces them.
+    The four block tests of `BLOCK_TESTS` need no matrix: their traces come
+    from D's block traces.
     """
-    known = _TEST_MATRIX_SCALES.get(n2)
+    return _seeded_test_matrices(n2)
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded_test_matrices(n2: int) -> tuple:
     rng = np.random.default_rng(1)
-    mats, scales = [], []
+    mats = []
     for j in range(4):
         g = np.empty((n2, n2), dtype=complex)
         g.real = rng.standard_normal((n2, n2))
         g.imag = rng.standard_normal((n2, n2))
-        scales.append(known[j] if known else _spectral_norm_estimate(g) * (1.0 + 1e-9))
-        g /= scales[j]
-        mats.append((f"rand{j}", np.asfortranarray(g)))
-    _TEST_MATRIX_SCALES[n2] = tuple(scales)
-    return mats
+        g /= _spectral_norm_estimate(g) * (1.0 + 1e-9)
+        g.flags.writeable = False
+        mats.append((f"rand{j}", g))
+    return tuple(mats)
 
 
 @functools.cache
@@ -515,11 +549,15 @@ class ResolventSolver:
 
     @functools.cached_property
     def blocks(self) -> tuple:
-        """The n x n blocks (G11, G12, G21, G22) of G; G21 = G12^H costs no product."""
+        """The n x n blocks (G11, G12, G21, G22) of G; G21 = G12^H costs no product.
+
+        G22's inverse is made first and scaled in place, so the peak holds no
+        more than A, W and the four blocks."""
         a, eta = self.a, self.eta
+        g22 = _gram_inverse(a, eta, adjoint=True)
+        np.multiply(1j * eta, g22, out=g22)
         g12 = self.w @ a
-        return (1j * eta * self.w, g12, g12.conj().T,
-                1j * eta * _gram_inverse(a, eta, adjoint=True))
+        return 1j * eta * self.w, g12, g12.conj().T, g22
 
     def avg_trace(self) -> complex:
         # tr W is real: dropping its rounding-level imaginary part keeps <G> imaginary
@@ -537,21 +575,27 @@ def error_matrix_norms(x, solver: ResolventSolver, se: SelfEnergyData, probes,
 
     iso is the largest |<x, D y>| over the (label, vector) `probes`; avg is
     the largest |tr(B D)| / 2n over the block tests c (x) I of `BLOCK_TESTS`
-    and the (label, matrix) `test_matrices`.  A block test's trace is
-    tr((c (x) I) D) = tr(c T), with T the 2x2 matrix of D's block traces,
-    so no 2n x 2n test matrix is formed; a random one's is the dot product
-    of vec(B^T) with vec(D), one contiguous pass over D.
+    and the (label, matrix) `test_matrices`.  D is read one n x n block at a
+    time (`_error_blocks`), and each block gives its trace, its share of D P
+    for the probe matrix P and its share of every random tr(B D) before the
+    next is built, so no 2n x 2n matrix is formed.  A block test's trace is
+    tr((c (x) I) D) = tr(c T), with T the 2x2 matrix of D's block traces; a
+    random one's collects sum_rs B_ji[s, r] D_ij[r, s] over the blocks (i, j),
+    from a transposed copy of D_ij, so both operands are read row by row.
     """
-    n, n2 = solver.n, 2 * solver.n
-    d = error_matrix(x, solver, se)
+    n = solver.n
     pv = np.stack([p for _, p in probes], axis=1)
-    dp = d @ pv
-    cross = np.abs(pv.conj().T @ dp)
-    iso = float(cross.max())
-    blocks = np.array([[np.trace(d[:n, :n]), np.trace(d[:n, n:])],
-                       [np.trace(d[n:, :n]), np.trace(d[n:, n:])]])
-    traces = [np.trace(c @ blocks) for c in BLOCK_TESTS.values()]
-    d_flat = d.reshape(-1)
-    traces += [b.T.reshape(-1) @ d_flat for _, b in test_matrices]
-    avg = max(abs(t) for t in traces) / n2
+    dp = np.zeros_like(pv)
+    blocks = np.empty((2, 2), dtype=complex)
+    rand = np.zeros(len(test_matrices), dtype=complex)
+    for i, j, d, spare in _error_blocks(x, solver.blocks, se):
+        rows, cols = slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
+        blocks[i, j] = np.trace(d)
+        dp[rows] += d @ pv[cols]
+        np.copyto(spare, d.T)
+        for k, (_, b) in enumerate(test_matrices):
+            rand[k] += np.einsum("ij,ij->", spare, b[cols, rows])
+    iso = float(np.abs(pv.conj().T @ dp).max())
+    traces = [np.trace(c @ blocks) for c in BLOCK_TESTS.values()] + list(rand)
+    avg = max(abs(t) for t in traces) / (2 * n)
     return iso, float(avg)

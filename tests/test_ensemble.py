@@ -12,7 +12,7 @@ from ellipticlab import (
     sample,
     save_matrix,
 )
-from ellipticlab.ensemble import _moment_sums
+from ellipticlab.ensemble import _correlated_signs, _moment_sums
 
 
 def gaussian_spec(n=1000, rho=0.5, mu=1.0, seed=7):
@@ -49,6 +49,55 @@ class TestReproducibility:
             rng_policy(9, -1)
         with pytest.raises(ValueError, match="must be >= 0"):
             sample(gaussian_spec(n=4), -1)
+
+
+def _index_scatter_sample(spec, trial):
+    """The sampler's draws and values, scattered with np.triu_indices fancy
+    indexing: the scatter `sample` used before its boolean mask."""
+    n, rho, mu = spec.n, spec.rho, spec.mu
+    rng = rng_policy(spec.seed, trial)
+    iu, ju = np.triu_indices(n, k=1)
+    npairs = iu.size
+    if spec.base == "gaussian":
+        g = rng.standard_normal((4, npairs))
+        re1 = np.sqrt(mu) * g[0]
+        re2 = np.sqrt(mu) * (rho * g[0] + np.sqrt(1.0 - rho ** 2) * g[1])
+        im1 = np.sqrt(1.0 - mu) * g[2]
+        im2 = np.sqrt(1.0 - mu) * (-rho * g[2] + np.sqrt(1.0 - rho ** 2) * g[3])
+        gd = rng.standard_normal((2, n))
+        diag = np.sqrt(mu) * gd[0] + 1j * np.sqrt(1.0 - mu) * gd[1]
+    else:
+        r1, r2 = _correlated_signs(rng, npairs, rho)
+        s1, s2 = _correlated_signs(rng, npairs, -rho)
+        if mu == 1.0:
+            re1, re2, im1, im2 = r1, r2, np.zeros(npairs), np.zeros(npairs)
+            diag = rng.integers(0, 2, n) * 2.0 - 1.0 + 0.0j
+        elif mu == 0.0:
+            re1, re2, im1, im2 = np.zeros(npairs), np.zeros(npairs), s1, s2
+            diag = 1j * (rng.integers(0, 2, n) * 2.0 - 1.0)
+        else:
+            h = np.sqrt(0.5)
+            re1, re2, im1, im2 = h * r1, h * r2, h * s1, h * s2
+            diag = h * ((rng.integers(0, 2, n) * 2.0 - 1.0)
+                        + 1j * (rng.integers(0, 2, n) * 2.0 - 1.0))
+    scale = 1.0 / np.sqrt(n)
+    x = np.zeros((n, n), dtype=complex)
+    x[iu, ju] = (re1 + 1j * im1) * scale
+    x[ju, iu] = (re2 + 1j * im2) * scale
+    x[np.diag_indices(n)] = diag * scale
+    return x
+
+
+class TestScatter:
+    @pytest.mark.parametrize("base,mu", [("gaussian", 0.0), ("gaussian", 0.3),
+                                         ("gaussian", 1.0), ("rademacher-mixture", 0.0),
+                                         ("rademacher-mixture", 0.5),
+                                         ("rademacher-mixture", 1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 257])
+    def test_mask_scatter_matches_index_scatter(self, base, mu, n):
+        spec = EnsembleSpec(n=n, rho=0.4, mu=mu, base=base, seed=5)
+        got = sample(spec, trial=2).entries
+        assert got.tobytes() == _index_scatter_sample(spec, 2).tobytes()
 
 
 class TestGaussianMoments:

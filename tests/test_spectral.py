@@ -1,6 +1,7 @@
 """Spectral engine against dense-inverse, eigensolver, and hand-computed oracles."""
 
 import ctypes
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -512,6 +513,42 @@ class TestErrorMatrix:
             assert abs(np.linalg.norm(p) - 1.0) < 1e-12
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated by fn(), as tracemalloc counts numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Peak allocations at n = 128 in units of one n x n complex matrix, 16 n^2 bytes."""
+
+    n = 128
+
+    def inputs(self):
+        spec = EnsembleSpec(n=self.n, rho=0.5, seed=3)
+        return sample(spec).entries, SelfEnergyData.from_spec(spec)
+
+    def test_error_matrix_norms_never_forms_the_2n_matrix(self):
+        # the dense D alone is 4 n^2; its four n x n blocks take four buffers
+        x, se = self.inputs()
+        solver = ResolventSolver(x, 0.3 + 0.2j, self.n ** -0.75)
+        solver.blocks
+        probes, tests = default_probes(2 * self.n, k=8), default_test_matrices(2 * self.n)
+        peak = _traced_peak(lambda: error_matrix_norms(x, solver, se, probes, tests))
+        assert peak <= 5.0 * 16 * self.n ** 2
+
+    def test_resolvent_blocks_hold_a_w_and_the_four_blocks(self, blas_routes):
+        # A, W and G's four blocks are 6 n^2; G22 is scaled in place
+        x, _ = self.inputs()
+        for _ in blas_routes():
+            peak = _traced_peak(lambda: ResolventSolver(x, 0.3 + 0.2j, self.n ** -0.75).blocks)
+            assert peak <= 6.1 * 16 * self.n ** 2
+
+
 def _power_estimate(b, iters=40, seed=3):
     """The 2-norm estimate the random test matrices were scaled by, with an explicit B^H."""
     rng = np.random.default_rng(seed)
@@ -527,26 +564,32 @@ def _power_estimate(b, iters=40, seed=3):
     return float(est)
 
 
+def _seeded_reference(n2):
+    """The four seeded test matrices, each divided by its 40-step power estimate."""
+    rng = np.random.default_rng(1)
+    want = []
+    for _ in range(4):
+        g = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+        g /= _power_estimate(g) * (1.0 + 1e-9)
+        want.append(g)
+    return want
+
+
 class TestAveragedErrorNorm:
     """The averaged norm from block traces and dot products, against dense test matrices."""
 
     @pytest.mark.parametrize("n2", [2, 64, 512])
     def test_default_test_matrices_are_the_seeded_random_ones(self, n2):
-        rng = np.random.default_rng(1)
-        want = []
-        for _ in range(4):
-            g = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-            g /= _power_estimate(g) * (1.0 + 1e-9)
-            want.append(g)
         got = default_test_matrices(n2)
         assert [label for label, _ in got] == ["rand0", "rand1", "rand2", "rand3"]
-        for (_, b), w in zip(got, want):
+        for (_, b), w in zip(got, _seeded_reference(n2)):
             assert np.array_equal(b, w)
 
     @pytest.mark.parametrize("n2", [2, 64])
-    def test_test_matrix_scales_kept_per_size(self, n2, monkeypatch):
-        monkeypatch.setattr(spectral, "_TEST_MATRIX_SCALES", {})
-        draws, estimates = [], []
+    def test_test_matrices_held_for_one_size(self, n2, monkeypatch):
+        want = _seeded_reference(n2)
+        spectral._seeded_test_matrices.cache_clear()
+        draws = []
         default_rng = np.random.default_rng
 
         class CountingRng:
@@ -558,23 +601,24 @@ class TestAveragedErrorNorm:
                     draws.append(size)
                 return self.rng.standard_normal(size)
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        estimate = spectral._spectral_norm_estimate
-        monkeypatch.setattr(spectral, "_spectral_norm_estimate",
-                            lambda b: estimates.append(b.shape) or estimate(b))
         first = default_test_matrices(n2)
-        # a cold call draws each normal matrix once and estimates from it
-        assert draws == [(n2, n2)] * 8 and len(estimates) == 4
-        # the memo holds four floats per size, not matrices
-        assert list(spectral._TEST_MATRIX_SCALES) == [n2]
-        assert [type(v) for v in spectral._TEST_MATRIX_SCALES[n2]] == [float] * 4
+        # a cold call draws each normal matrix once
+        assert draws == [(n2, n2)] * 8
+        # a warm call at one size draws nothing and returns the same read-only arrays
         second = default_test_matrices(n2)
-        assert len(draws) == 16 and len(estimates) == 4
-        monkeypatch.setattr(spectral, "_TEST_MATRIX_SCALES", {})
-        cleared = default_test_matrices(n2)
-        assert len(estimates) == 8
-        for (_, a), (_, b), (_, c) in zip(first, second, cleared):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
-            assert b.flags.f_contiguous and c.flags.f_contiguous
+        assert len(draws) == 8
+        for (_, a), (_, b) in zip(first, second):
+            assert a is b and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        # a call at another size replaces them, so the first size is drawn again
+        default_test_matrices(n2 + 2)
+        assert draws[8:] == [(n2 + 2, n2 + 2)] * 8
+        again = default_test_matrices(n2)
+        assert len(draws) == 24
+        for (_, a), (_, b), w in zip(first, again, want):
+            assert a is not b
+            assert a.tobytes() == b.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_matches_dense_kronecker_oracle(self, n, monkeypatch):
@@ -589,8 +633,11 @@ class TestAveragedErrorNorm:
 
         blocks = [np.kron(c, np.eye(n)) for c in BLOCK_TESTS.values()]
         probes, tests = default_probes(2 * n, k=8), default_test_matrices(2 * n)
-        _, avg = error_matrix_norms(x, solver, se, probes, [])
+        iso, avg = error_matrix_norms(x, solver, se, probes, [])
         assert avg == pytest.approx(oracle(blocks), rel=1e-13)
+        # iso against every probe pair of the dense D, one matrix-vector product each
+        assert iso == pytest.approx(max(abs(np.vdot(p, d @ q)) for _, p in probes
+                                        for _, q in probes), rel=1e-13)
         for label, b in tests:
             _, avg = error_matrix_norms(x, solver, se, probes, [(label, b)])
             assert avg == pytest.approx(oracle(blocks + [b]), rel=1e-13), label

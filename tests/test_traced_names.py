@@ -1,16 +1,23 @@
 """The benchmark tracer's named boundaries all exist in ellipticlab.
 
 `perfbench/tracer.py` wraps the functions and methods it names and computes
-its per-layer metrics from their spans; a name that no longer resolves would
-make its layer read 0 instead of failing.  The tracer module is loaded from
-its file and read, not edited.
+its per-layer metrics from their spans; a name that no longer resolves to
+what the tracer wraps would make its layer read 0 instead of failing.  The
+tracer wraps only plain functions (`inspect.isfunction`): a module-level one
+defined in that module, or a method in its class's own namespace, so a
+cache or other decorator on a traced name would drop its boundary silently.
+The tracer module is loaded from its file and read, not edited.
 """
 
+import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from ellipticlab import spectral
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -24,14 +31,16 @@ def tracer():
 
 
 def resolves(dotted: str) -> bool:
-    """Whether "module.attr[.attr...]" names an attribute of ellipticlab.<module>."""
+    """Whether "module.function" or "module.Class.method" names a plain
+    function the tracer's `install` would wrap in ellipticlab.<module>."""
     module, *path = dotted.split(".")
-    obj = importlib.import_module(f"ellipticlab.{module}")
-    for attr in path:
-        if not hasattr(obj, attr):
-            return False
-        obj = getattr(obj, attr)
-    return callable(obj)
+    mod = importlib.import_module(f"ellipticlab.{module}")
+    if len(path) == 1:
+        obj = vars(mod).get(path[0])
+        return inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    cls, method = path
+    owner = vars(mod).get(cls)
+    return inspect.isclass(owner) and inspect.isfunction(vars(owner).get(method))
 
 
 def traced_names(tracer) -> set:
@@ -54,3 +63,10 @@ def test_every_traced_name_resolves(tracer):
 def test_a_missing_name_is_reported(tracer):
     assert not resolves("harness.no_such_experiment")
     assert not resolves("spectral.ResolventSolver.no_such_method")
+
+
+def test_a_wrapped_function_is_reported(monkeypatch):
+    cached = functools.lru_cache(maxsize=1)(spectral.default_test_matrices)
+    monkeypatch.setattr(spectral, "default_test_matrices", cached)
+    assert not resolves("spectral.default_test_matrices")
+    assert resolves("spectral.error_matrix_norms")
