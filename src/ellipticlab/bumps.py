@@ -135,6 +135,14 @@ class TestFunction:
     def observable_laplacian(self, zeta, n: int):
         return self._radial(zeta, self.scale(n), laplacian=True)
 
+    def support_rule(self, n: int) -> tuple:
+        """Nodes on one radius of the support disk of f_{zeta0,alpha} and weights w:
+        w @ g(nodes) = int g over the disk for g radial about `center`, exact for
+        the polynomial bump's observable (the rule of the norms, scaled)."""
+        r, w = _radial_rule(self.kind)
+        s = self.support_radius(n)
+        return self.center + s * r, s ** 2 * w
+
     # norms of Delta f (of the base f; both scale simply under the
     # mesoscopic rescaling: ||Delta f_{z0,alpha}||_1 = n^{2 alpha} ||Delta f||_1)
 

@@ -36,8 +36,8 @@ from .ensemble import BASES, EnsembleSpec, moment_self_test, sample, save_matrix
 from .harness import ExperimentGrid
 from .potential import log_potential
 from .quad2d import QuadratureError
-from .spectral import (SingularHermitizationError, decompose, default_probes, hermitize,
-                       isotropic_entries, log_abs_det, partial_trace)
+from .spectral import (SINGLE_THREADED_BLAS, SingularHermitizationError, decompose,
+                       default_probes, hermitize, isotropic_entries, log_abs_det, partial_trace)
 from .stability import self_energy_2x2, stability_analysis
 
 SCHEMA_VERSION = 1
@@ -185,7 +185,9 @@ def cmd_spectrum(args) -> int:
     names, vecs = zip(*default_probes(2 * args.n, seed=spec.seed, k=2)[:4])
     labels = [f"{a}|{b}" for a, b in zip(names[:3], names[1:])]
     probes = np.stack(vecs, axis=1)
-    with open(out / f"{args.prefix}.eigenvalues.csv", "w", encoding="utf-8") as eig_fh, \
+    # one BLAS thread, as in the trial pool: the SVDs round alike on any thread count
+    with SINGLE_THREADED_BLAS, \
+            open(out / f"{args.prefix}.eigenvalues.csv", "w", encoding="utf-8") as eig_fh, \
             open(out / f"{args.prefix}.functionals.jsonl", "w", encoding="utf-8") as fn_fh:
         for trial in range(args.trials):
             mat = sample(spec, trial)

@@ -97,14 +97,17 @@ class EllipseRegion:
     def contains(self, zeta):
         return self.ellipse_form(zeta) <= 1.0 - self.delta
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        ax, ay = self.semi_axes
-        s = np.sqrt(1.0 - self.delta)
-        return (-ax * s, ax * s, -ay * s, ay * s)
+    def contains_disk(self, center: complex, radius: float) -> bool:
+        """Whether the disk |z - center| <= radius lies in the region: the region
+        is convex, so this reads the disk's rim, at 721 points."""
+        rim = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
+        return bool(np.all(self.contains(rim)))
 
     def sample_uniform(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m points uniform on the region, by rejection from the bounding box."""
-        x0, x1, y0, y1 = self.bounding_box()
+        """m points uniform on the region, by rejection from its bounding box."""
+        ax, ay = self.semi_axes
+        s = np.sqrt(1.0 - self.delta)
+        x0, x1, y0, y1 = -ax * s, ax * s, -ay * s, ay * s
         out = np.empty(m, dtype=complex)
         filled = 0
         while filled < m:
@@ -137,10 +140,8 @@ class DysonSolution:
 
 def elliptic_density(zeta, param: EllipticParam):
     """Uniform density 1/(pi (1-rho^2)) on the ellipse, 0 outside."""
-    region = EllipseRegion(param.rho)
-    inside = region.contains(zeta)
-    val = 1.0 / (np.pi * (1.0 - param.rho ** 2))
-    out = np.where(inside, val, 0.0)
+    inside = EllipseRegion(param.rho).contains(zeta)
+    out = np.where(inside, 1.0 / (np.pi * (1.0 - param.rho ** 2)), 0.0)
     return float(out) if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
 
 

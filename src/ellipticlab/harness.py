@@ -60,13 +60,13 @@ from .spectral import (
     ResolventSolver,
     SelfEnergyData,
     SpectralDecomposition,
-    _probe_family,
     decompose,
     default_probes,
     default_test_matrices,
     error_matrix_norms,
     hermitize,
     hessenberg,
+    probe_family,
     small_singular_count,
     smallest_singular_value,
 )
@@ -102,8 +102,7 @@ class ExperimentGrid:
         # EnsembleSpec checks each n and the law's parameters
         if len({self.ensemble_spec(n) for n in self.n_values}) < len(self.n_values):
             raise ValueError(f"n_values must not repeat, got {list(self.n_values)}")
-        region = EllipseRegion(self.rho, self.delta)
-        if not bool(region.contains(self.zeta)):
+        if not EllipseRegion(self.rho, self.delta).contains(self.zeta):
             raise ValueError(
                 f"zeta={self.zeta} is outside the bulk region E_(rho={self.rho}, delta={self.delta})")
 
@@ -365,7 +364,7 @@ def _iso_law_summary(records, grid, _state):
 def _deloc_setup(grid, n):
     # e1, the uniform and alternating unit vectors, and four seeded random
     # units, as the rows of one conjugated matrix
-    labels, probes = zip(*_probe_family(n, (("e1", 0),), "rand", 4, grid.seed))
+    labels, probes = zip(*probe_family(n, (("e1", 0),), "rand", 4, grid.seed))
     return EllipseRegion(grid.rho, grid.delta), labels, np.stack(probes).conj()
 
 
@@ -410,8 +409,7 @@ def _deloc_summary(records, grid, _state):
 
 def _linstats_setup(grid, n, tf):
     tf.validate(n)
-    rim = tf.center + tf.support_radius(n) * np.exp(1j * np.linspace(0, 2 * np.pi, 181))
-    if not np.all(EllipseRegion(grid.rho, grid.delta).contains(rim)):
+    if not EllipseRegion(grid.rho, grid.delta).contains_disk(tf.center, tf.support_radius(n)):
         raise ValueError("test function support leaves the bulk region")
     return tf, density_integral(tf, grid.rho, n)
 
@@ -615,18 +613,13 @@ def delocalisation_test(spec: EnsembleSpec, delta: float = 0.2, trials: int = 10
 
 
 def density_integral(tf: TestFunction, rho: float, n: int) -> float:
-    """int f_{zeta0,alpha} sigma_rho by adaptive quadrature over the support, to 1e-8."""
-    param = EllipticParam(rho)
-    r = tf.support_radius(n)
-    c = tf.center
-    box = (c.real - r, c.real + r, c.imag - r, c.imag + r)
-
-    def integrand(pts):
-        vals = tf.observable(pts, n)
-        return np.real(vals) * elliptic_density(pts, param)
-
-    val, _ = adaptive_quad2d(integrand, box, tol=1e-8)
-    return float(val)
+    """int f_{zeta0,alpha} sigma_rho = sigma_rho int f_{zeta0,alpha} by `tf.support_rule`,
+    exact for the polynomial bump; ValueError if the support leaves the ellipse."""
+    if not EllipseRegion(rho).contains_disk(tf.center, tf.support_radius(n)):
+        raise ValueError("test function support leaves the ellipse")
+    nodes, weights = tf.support_rule(n)
+    sigma = elliptic_density(tf.center, EllipticParam(rho))
+    return sigma * float(weights @ np.real(tf.observable(nodes, n)))
 
 
 def linear_statistics(grid: ExperimentGrid, tf: TestFunction,

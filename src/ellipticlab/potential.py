@@ -115,18 +115,13 @@ def distributional_check(psi: TestFunction, param: EllipticParam,
                          nodes: int = 64, quad_tol: float = 1e-5):
     """Pair L against a bump: returns ((1/2pi) int DeltaPsi L, int Psi sigma).
 
-    psi must be supported inside the open ellipse, its rim at an ellipse form
-    below 1 - 1e-6; both integrals run on the same tensor Simpson grid over
-    the support square.
+    psi must be supported inside the open ellipse, in E_{rho,1e-6}; both
+    integrals run on the same tensor Simpson grid over the support square.
     """
-    region = EllipseRegion(param.rho)
-    angles = np.linspace(0.0, 2.0 * np.pi, 721)
-    rim = psi.center + psi.radius * np.exp(1j * angles)
-    if np.max(region.ellipse_form(rim)) >= 1.0 - 1e-6:
+    if not EllipseRegion(param.rho, 1e-6).contains_disk(psi.center, psi.radius):
         raise ValueError("bump support must lie strictly inside the ellipse")
 
-    if nodes % 2:
-        nodes += 1
+    nodes += nodes % 2
     c, r = psi.center, psi.radius
     xs = np.linspace(c.real - r, c.real + r, nodes + 1)
     ys = np.linspace(c.imag - r, c.imag + r, nodes + 1)

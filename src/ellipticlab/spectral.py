@@ -14,7 +14,7 @@ its own OpenBLAS, `zherk` forms it and `zpotrf` + `zpotri` invert it, called
 through ctypes, which releases the GIL, so trials in a thread pool factor in
 parallel.  The Girko check's Hessenberg reduction (`hessenberg`) is that
 library's `zgehrd`, and `SINGLE_THREADED_BLAS` holds it at one thread for
-the harness's trial pool and Girko check, which call numpy and no scipy BLAS.
+the trial pool, the Girko check and `spectrum`, which call no scipy BLAS.
 This module is the one owner of that library, and `_openblas` the one
 switch: it opens the library once and binds all six routines the module
 calls.  On a numpy built against a system BLAS it returns None, and all
@@ -202,8 +202,8 @@ def log_det_check(dec: SpectralDecomposition, t_cut: float) -> tuple[float, floa
     return lhs, rhs
 
 
-def _probe_family(dim: int, coordinates, prefix: str, k: int,
-                  seed: int) -> list[tuple[str, np.ndarray]]:
+def probe_family(dim: int, coordinates, prefix: str, k: int,
+                 seed: int) -> list[tuple[str, np.ndarray]]:
     """Unit vectors of C^dim: a coordinate vector per (label, index), the uniform
     and alternating vectors, then k seeded Haar-random units labelled prefix + j."""
     out = [(label, np.eye(1, dim, index, dtype=complex)[0]) for label, index in coordinates]
@@ -220,7 +220,7 @@ def default_probes(n2: int, k: int, seed: int = 0) -> list[tuple[str, np.ndarray
     """Fixed probe family: coordinate, uniform, alternating, Haar-random units."""
     if n2 % 2:
         raise ValueError("probe dimension must be even (2n)")
-    return _probe_family(n2, (("e1", 0), ("e_n+1", n2 // 2)), "haar", k, seed)
+    return probe_family(n2, (("e1", 0), ("e_n+1", n2 // 2)), "haar", k, seed)
 
 
 @dataclass(frozen=True)

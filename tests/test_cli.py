@@ -299,6 +299,21 @@ class TestSpectrum:
                      "--eta", "0.1", "--trials", "2", "--out-dir", str(tmp_path)]) == 0
         assert alive == [1] * 4
 
+    def test_output_independent_of_blas_threads(self, blas, tmp_path):
+        # at n = 160 the SVD of the 2n x 2n Hermitization rounds differently on
+        # 2 OpenBLAS threads, so the command holds its loop on one
+        set_threads = spectral._openblas().scipy_openblas_set_num_threads64_
+        written = {}
+        for threads in (1, 2):
+            set_threads(threads)
+            out = tmp_path / str(threads)
+            assert main(["spectrum", "--n", "160", "--rho", "0.5", "--zeta", "0.3+0.2i",
+                         "--eta", "0.1", "0.01", "--out-dir", str(out)]) == 0
+            assert blas() == threads
+            written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written[1]) == 2
+        assert written[1] == written[2]
+
     def test_unwritable_prefix_exits_two(self, tmp_path, capsys):
         assert main(["spectrum", "--n", "8", "--rho", "0.5", "--zeta", "0", "--eta", "0.1",
                      "--out-dir", str(tmp_path), "--prefix", "missing/x"]) == 2

@@ -163,6 +163,22 @@ class TestRegionAndDensity:
         with pytest.raises(ValueError):
             v_limit_bulk(2.0, EllipticParam(0.5))
 
+    def test_contains_disk(self):
+        region = EllipseRegion(0.5)          # semi-axes 1.5 and 0.5
+        assert region.contains_disk(0.1 + 0.05j, 0.2)      # well inside
+        # tangent from inside at +-0.5i: the boundary counts as inside
+        assert region.contains_disk(0.0, 0.5)
+        assert not region.contains_disk(0.0, 0.5 + 1e-9)
+        assert not region.contains_disk(1.2 + 0.0j, 0.4)   # crosses the edge at 1.5
+        assert not region.contains_disk(3.0 + 0.0j, 0.1)   # wholly outside
+
+    def test_contains_disk_with_delta(self):
+        # E_{0.5, 0.19} has semi-axes 0.9 * (1.5, 0.5)
+        region = EllipseRegion(0.5, delta=0.19)
+        assert region.contains_disk(0.0, 0.44)
+        assert not region.contains_disk(0.0, 0.46)
+        assert EllipseRegion(0.5).contains_disk(0.0, 0.46)
+
     def test_uniform_sampling_stays_inside(self):
         region = EllipseRegion(-0.4, delta=0.1)
         pts = region.sample_uniform(np.random.default_rng(0), 500)

@@ -584,6 +584,48 @@ class TestLinearStatistics:
         for rec in rep.records:
             assert rec.observed == pytest.approx(want, rel=0, abs=1e-7)
 
+    @staticmethod
+    def quad2d_oracle(tf, rho, n):
+        """int f_{zeta0,alpha} sigma_rho by 2-D adaptive quadrature over the support box."""
+        param, r, c = EllipticParam(rho), tf.support_radius(n), tf.center
+        val, _ = adaptive_quad2d(
+            lambda pts: np.real(tf.observable(pts, n)) * elliptic_density(pts, param),
+            (c.real - r, c.real + r, c.imag - r, c.imag + r), tol=1e-8)
+        return val
+
+    @pytest.mark.parametrize("kind", ["polynomial-bump", "gaussian-bump"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.7])
+    def test_density_integral_matches_quadrature(self, kind, alpha, rho):
+        for center in (0.0j, 0.05 + 0.1j, -0.03 - 0.2j):
+            tf = Bump(kind=kind, center=center, radius=0.4, alpha=alpha)
+            got = harness.density_integral(tf, rho, 256)
+            assert got == pytest.approx(self.quad2d_oracle(tf, rho, 256), rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("rho, alpha, center, radius", [
+        *[(rho, alpha, 0.02 - 0.01j, 0.25) for rho in (0.0, 0.5, -0.7)
+          for alpha in (0.0, 0.25, 0.4)],
+        (0.5, 0.25, 0.3 + 0.2j, 1.0)])      # the battery's setting: 1/3
+    def test_density_integral_polynomial_closed_form(self, rho, alpha, center, radius):
+        # sigma_rho * pi radius^2 / 4, whatever alpha is
+        tf = Bump(center=center, radius=radius, alpha=alpha)
+        want = radius ** 2 / (4.0 * (1.0 - rho ** 2))
+        assert harness.density_integral(tf, rho, 256) == pytest.approx(want, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("center, n", [(0.3 + 0.2j, 64), (1.4 + 0.0j, 256)])
+    def test_density_integral_rejects_support_leaving_ellipse(self, center, n):
+        # support radius 64^-1/4 = 0.35 crosses Im z = 0.5; 1.4 + 0.25 passes 1.5
+        with pytest.raises(ValueError, match="leaves the ellipse"):
+            harness.density_integral(Bump(center=center, alpha=0.25), 0.5, n)
+
+    def test_setup_runs_no_2d_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("linstats reached a 2-D quadrature")
+        monkeypatch.setattr(harness, "adaptive_quad2d", no_quad)
+        rep = linear_statistics(small_grid(n_values=(64,), trials=1),
+                                Bump(center=0.3 + 0.2j, alpha=0.4))
+        assert rep.records[0].extras["integral"] == pytest.approx(1.0 / 3.0, abs=1e-14)
+
     def test_zero_function(self):
         grid = small_grid(n_values=(64,), trials=1)
         tf = Bump(center=grid.zeta, alpha=0.4)
