@@ -6,23 +6,22 @@ ExperimentReport whose records are reproducible functions of
 (grid, seed, indices).
 
 The sample-based experiments are the entries of one registry,
-`EXPERIMENTS`.  An entry declares up front which factorizations of a
-sampled X it reads (`eig`, `eigvals`, the singular values of X - zeta, the
-one-eta resolvent G, with or without its four n x n blocks), builds what
-the trials at one n share (the Dyson solution, probes, test matrices,
-density integrals) once per n as a function of (grid, n, options), turns
-one `TrialContext` into records, and summarizes its records.  The spectral
-scale is eta = n^{-beta}, and iso-law reads 20 fixed probe pairs; neither
-is configurable.  `run_experiments` runs any set of entries over
-one pool of (n, trial) tasks; each samples X and factors it once, in
-`TrialContext.build`, for the union of the needs (`eig` covers `eigvals`),
-every entry reads that context, and it is dropped when the task ends.  G
-at the trial's (zeta, eta) has one engine, the context's `ResolventSolver`,
-which the local laws and the error matrix read; no task computes singular
-vectors.  Sampling and factoring read no per-n state, so the calling
-thread builds that state while the workers sample and factor.  Every
-public experiment function, `density_map` included, is a single-entry
-call of `run_experiments`.
+`EXPERIMENTS`.  An entry declares up front what it reads of a sampled X
+(X itself, `eig`, `eigvals`, the singular values of X - zeta, the one-eta
+resolvent G), builds what the trials at one n share (the Dyson solution, probes, test
+matrices, density integrals) once per n as a function of (grid, n,
+options), turns one `TrialContext` into records, and summarizes its
+records.  The spectral scale is eta = n^{-beta}, and iso-law reads 20 fixed
+probe pairs; neither is configurable.  `run_experiments` runs any set of
+entries over one pool of (n, trial) tasks; each samples X and factors it
+once, in `TrialContext.build`, for the union of the needs (`eig` covers
+`eigvals`), every entry reads that context, and each n x n array is dropped
+after its last reader.  G at the trial's (zeta, eta) has one engine, the
+context's `ResolventSolver`, which the local laws and the error matrix
+read; no task computes singular vectors.  Sampling and factoring read no
+per-n state, so the calling thread builds that state while the workers
+sample and factor.  Every public experiment function, `density_map`
+included, is a single-entry call of `run_experiments`.
 
 A sampled X whose entries are all real (the default mu = 1) is
 eigendecomposed by LAPACK's real driver, and deloc's residual X V is a real
@@ -224,15 +223,16 @@ class TrialContext:
     `eigenvalues` are X's, from `eig` (with `eigenvectors`) when an
     experiment needs the vectors and from `eigvals` otherwise; `dec` holds
     the singular values of X - zeta; `solver` applies and traces G at
-    (zeta, eta) from one n x n inverse, and holds G's blocks when an
-    experiment needs them.  What no experiment needs stays None.
-    """
+    (zeta, eta) from A = X - zeta and one n x n inverse, and forms G's
+    other two arrays on their first read.  What no experiment needs stays
+    None, and `release` drops each n x n array after its last reader: a trial
+    of the six pooled experiments peaks at about 7 n x n complex matrices."""
 
     n: int
     trial: int
     zeta: complex
     eta: float
-    x: EllipticMatrix
+    x: EllipticMatrix | None
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     dec: SpectralDecomposition | None = None
@@ -248,22 +248,25 @@ class TrialContext:
             ctx.eigenvalues = _eig(x.entries, vectors=False)
         if "svdvals" in needs:
             ctx.dec = decompose(hermitize(x, grid.zeta), compute_vectors=False)
-        if needs & {"resolvent", "blocks"}:
+        if "resolvent" in needs:
             ctx.solver = ResolventSolver(x.entries, grid.zeta, ctx.eta)
-        if "blocks" in needs:
-            # formed before the task waits for its n's setup, off the critical path
-            ctx.solver.blocks
         return ctx
+
+    def release(self, needs) -> None:
+        """Drop the n x n arrays that no experiment in `needs` reads."""
+        for need, name in (("x", "x"), ("eig", "eigenvectors"), ("resolvent", "solver")):
+            if need not in needs:
+                setattr(self, name, None)
 
 
 @dataclass(frozen=True)
 class Experiment:
     """A registry entry: one sample-based experiment in four parts.
 
-    needs      what `observe` reads from a TrialContext: "eig", "eigvals",
-               "svdvals" (of X - zeta), "resolvent" (the solver at the
-               trial's zeta and eta) or "blocks" (the solver with G's
-               blocks formed);
+    needs      what `observe` reads from a TrialContext besides n, trial,
+               zeta and eta: "x" (the sample), "eig", "eigvals", "svdvals"
+               (of X - zeta), "resolvent" (the solver at the trial's zeta
+               and eta) or "arrays" (the solver's three arrays for G);
     setup      (grid, n, **options) -> the state every trial at n shares;
     observe    (ctx, state) -> the records of one trial;
     summarize  (records, grid, state) -> the experiment's result, with the
@@ -377,7 +380,8 @@ def _deloc_observe(ctx, state):
         xv = (a @ vecs.view(np.float64)).view(complex)
     else:
         xv = a @ vecs
-    resid = np.linalg.norm(xv - vecs * vals, axis=0)
+    xv -= vecs * vals
+    resid = np.linalg.norm(xv, axis=0)
     defective = resid > EIGVEC_RESIDUAL_GATE
     bulk = np.asarray(region.contains(vals)) & ~defective
     overlaps = np.abs(probes_conj @ vecs[:, bulk])
@@ -486,7 +490,7 @@ def _error_matrix_setup(grid, n):
 def _error_matrix_observe(ctx, state):
     se, probes, tests = state
     n, eta = ctx.n, ctx.eta
-    iso, avg = error_matrix_norms(ctx.x, ctx.solver, se, probes, tests)
+    iso, avg = error_matrix_norms(ctx.solver, se, probes, tests)
     im_g = ctx.solver.avg_trace().imag
     scale_avg = n ** EPSILON_EXPONENT * im_g / (n * eta)
     scale_iso = n ** EPSILON_EXPONENT * np.sqrt(im_g / (n * eta))
@@ -512,14 +516,14 @@ EXPERIMENTS = {
     "iso-law": Experiment(frozenset({"resolvent"}), _iso_law_setup, _iso_law_observe,
                           _iso_law_summary),
     "ssv-scan": Experiment(frozenset({"svdvals"}), _ssv_setup, _ssv_observe, _ssv_summary),
-    "deloc": Experiment(frozenset({"eig"}), _deloc_setup, _deloc_observe, _deloc_summary,
+    "deloc": Experiment(frozenset({"x", "eig"}), _deloc_setup, _deloc_observe, _deloc_summary,
                         single_n=True),
     "linstats": Experiment(frozenset({"eigvals"}), _linstats_setup, _linstats_observe,
                            _linstats_summary),
-    "error-matrix": Experiment(frozenset({"blocks"}), _error_matrix_setup,
+    "error-matrix": Experiment(frozenset({"resolvent", "arrays"}), _error_matrix_setup,
                                _error_matrix_observe, _error_matrix_summary),
     # one DensityMap of trial 0, which is its own summary
-    "density": Experiment(frozenset({"eigvals"}),
+    "density": Experiment(frozenset({"x", "eigvals"}),
                           lambda grid, n, grid_resolution=101: grid_resolution,
                           lambda ctx, resolution: [_density_from_eigenvalues(
                               ctx.eigenvalues, ctx.x.spec, resolution)],
@@ -562,9 +566,15 @@ def run_experiments(grid: ExperimentGrid, requests: dict, threads: int = 1) -> d
         names = observers(trial)
         needs = frozenset().union(*(chosen[name].needs for name in names))
         ctx = TrialContext.build(grid, n, trial, needs)
+        if "arrays" in chosen[names[0]].needs:
+            # read first thing: formed before the wait for the setup, off the critical path
+            ctx.solver.arrays
         state = states[n].result()
-        return [(name, rec) for name in names
-                for rec in chosen[name].observe(ctx, state[name])]
+        out = []
+        for k, name in enumerate(names):
+            out += [(name, rec) for rec in chosen[name].observe(ctx, state[name])]
+            ctx.release(frozenset().union(*(chosen[later].needs for later in names[k + 1:])))
+        return out
 
     tasks = [(n, t) for n in grid.n_values for t in range(grid.trials) if observers(t)]
     # a multithreaded BLAS may round differently, and records must not depend

@@ -7,23 +7,23 @@ each eta then costs O(n), or O(nk) for k probe pairs; with f = 1/(S^2 + eta^2):
     G11 = U (i eta f) U^H    G12 = U (S f) V^H
     G21 = V (S f) U^H        G22 = V (i eta f) V^H
 
-`ResolventSolver` holds G at one (zeta, eta) from n x n inverses for the local
-laws and the error matrix; the SVD form above is its test reference.  Each
-inverse is of a Hermitian positive definite Gram matrix.  Where numpy ships
-its own OpenBLAS, `zherk` forms it and `zpotrf` + `zpotri` invert it, called
-through ctypes, which releases the GIL, so trials in a thread pool factor in
-parallel.  The Girko check's Hessenberg reduction (`hessenberg`) is that
-library's `zgehrd`, and `SINGLE_THREADED_BLAS` holds it at one thread for
-the trial pool, the Girko check and `spectrum`, which call no scipy BLAS.
-This module is the one owner of that library, and `_openblas` the one
-switch: it opens the library once and binds all six routines the module
-calls.  On a numpy built against a system BLAS it returns None, and all
-three routes fall back together: a GEMM and `inv`, `scipy.linalg.hessenberg`,
-and no pin.
+`ResolventSolver` holds G at one (zeta, eta) as W = (A A^H + eta^2)^{-1},
+G12 = W A and W~ = (A^H A + eta^2)^{-1}; the SVD form is its test
+reference.  Where numpy ships its own OpenBLAS, `zherk` forms each Gram
+matrix, `zpotrf` + `zpotri` invert it and `zgemm` forms the error matrix's
+blocks, through ctypes, which releases the GIL, so pooled trials run in
+parallel; the Girko check's Hessenberg reduction (`hessenberg`) is its
+`zgehrd`.  `SINGLE_THREADED_BLAS` holds it at one thread for these, the
+trial pool, the Girko check and `spectrum`, which call no scipy BLAS.  This
+module is the one owner of that library, and `_openblas` the one switch: it
+opens the library once and binds all seven routines the module calls.  On a
+numpy built against a system BLAS it returns None, and every route falls
+back together: numpy's GEMM and `inv`, `scipy.linalg.hessenberg`, and no
+pin.
 
-The error matrix D = (H + Z + hat-S[G]) G is read one n x n block at a time
-from one reused buffer, so its norms take O(n^2) working memory and never
-form the 2n x 2n D; the dense `error_matrix` assembles the same blocks for
+The error matrix D = (H + Z + hat-S[G]) G is read one n x n block at a
+time, from one block of K at a time, so its norms take two n x n matrices
+besides G's three; the dense `error_matrix` assembles the same blocks for
 the tests.  The error norm's random test matrices are a function of 2n
 alone; they are drawn once per size and held read-only for the latest size.
 """
@@ -72,11 +72,11 @@ class Hermitization:
 
 
 def hermitize(x, zeta: complex) -> Hermitization:
-    a = _entries(x)
+    a = np.array(_entries(x), dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("X must be a square matrix")
-    return Hermitization(zeta=complex(zeta),
-                         shifted=a - complex(zeta) * np.eye(a.shape[0]))
+    a[np.diag_indices(a.shape[0])] -= complex(zeta)
+    return Hermitization(zeta=complex(zeta), shifted=a)
 
 
 @dataclass
@@ -241,72 +241,74 @@ class SelfEnergyData:
         return cls(rho=spec.rho, p=shift * spec.rho / spec.n, q=shift / spec.n)
 
 
-def _self_energy_block(g, i: int, j: int, se: SelfEnergyData, out: np.ndarray) -> np.ndarray:
-    """Block (i, j) of hat-S[G], 0-based, from G's block rows g = ((G11, G12), (G21, G22)),
-    written into the n x n complex array `out`.
-
-    It reads G's block B = (1 - i, 1 - j): off the diagonal it is c B^t, with
-    the Hadamard coefficient c = p on diagonal blocks, q on block (0, 1) and
-    conj q on block (1, 0); on the diagonal, the normalized trace of B, times
-    rho on the off-diagonal blocks.
-    """
-    b = g[1 - i][1 - j]
-    tr = np.trace(b) / b.shape[0]
-    if i == j:
-        coeff, diag = se.p, tr
-    else:
-        coeff, diag = (se.q if i == 0 else np.conj(se.q)), se.rho * tr
-    # copied first: a ufunc reading b.T into a C-ordered out allocates its own scratch
-    np.copyto(out, b.T)
-    np.multiply(coeff, out, out=out)
-    np.fill_diagonal(out, diag)
-    return out
-
-
 def self_energy_hat(g11, g12, g21, g22, se: SelfEnergyData):
-    """Blocks of hat-S[G] = S[G] + Hadamard corrections."""
-    g = ((g11, g12), (g21, g22))
-    return tuple(_self_energy_block(g, i, j, se, np.empty(g11.shape, dtype=complex))
-                 for i in range(2) for j in range(2))
+    """Blocks of hat-S[G] = S[G] + Hadamard corrections, from G's four n x n blocks.
 
-
-def _error_blocks(x, blocks, se: SelfEnergyData):
-    """D = (H + Z + hat-S[G]) G one n x n block at a time, in row-major order.
-
-    `blocks` are G's (G11, G12, G21, G22).  K = H + Z + hat-S[G] is built one
-    block row at a time (H + Z = [[0, X], [X^H, 0]] adds X to K12 and X^H to
-    K21), and each D_ij = K_i1 G_1j + K_i2 G_2j is written into one reused
-    buffer, so the working memory is four n x n buffers.  Yields (i, j, d,
-    spare), 0-based: `d` holds D_ij and `spare` is an n x n buffer the caller
-    may overwrite, both until the next block is asked for.
+    Block (i, j), 0-based, reads G's block B = (1 - i, 1 - j): off the
+    diagonal it is c B^t, with the Hadamard coefficient c = p on diagonal
+    blocks, q on block (0, 1) and conj q on block (1, 0); on the diagonal,
+    the normalized trace of B, times rho on the off-diagonal blocks.
     """
-    a = _entries(x)
-    n = a.shape[0]
-    g = (blocks[:2], blocks[2:])
-    left, right, d, spare = (np.empty((n, n), dtype=complex) for _ in range(4))
-    for i in range(2):
-        _self_energy_block(g, i, 0, se, out=left)
-        _self_energy_block(g, i, 1, se, out=right)
-        if i == 0:
-            right += a
-        else:
-            np.copyto(spare, a.T)
-            left += np.conjugate(spare, out=spare)
-        for j in range(2):
-            np.matmul(left, g[0][j], out=d)
-            d += np.matmul(right, g[1][j], out=spare)
-            yield i, j, d, spare
+    g = ((g11, g12), (g21, g22))
+    out = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        b = g[1 - i][1 - j]
+        tr = np.trace(b) / b.shape[0]
+        block = (se.p if i == j else se.q if i == 0 else np.conj(se.q)) * b.T
+        np.fill_diagonal(block, tr if i == j else se.rho * tr)
+        out.append(block)
+    return tuple(out)
 
 
-def error_matrix(x, solver: ResolventSolver, se: SelfEnergyData) -> np.ndarray:
+def _error_blocks(solver: ResolventSolver, se: SelfEnergyData):
+    """D = (H + Z + hat-S[G]) G one n x n block at a time, as D_ij^T, from G's
+    arrays W, G12, W~ (`ResolventSolver.arrays`) and X = A + zeta.
+
+    Two `_gemm` calls accumulate D_ij^H = sum_m G_mj^H K_im^H, K = H + Z +
+    hat-S[G], into one buffer, conjugated in place so that the random traces
+    read D_ij^T row by row.  Every factor is a GEMM op on an array read as it
+    is: G11^H = -i eta W and G21^H = G12 (W, W~ are Hermitian), and K's
+    blocks are built one at a time by contiguous passes, as conj K11 =
+    conj(i eta p) W~, conj K22 = conj(i eta p) W and K12 = K21^H = q conj(G12)
+    + X, each with its diagonal.  In the order (1,1), (2,1), (2,2), (1,2),
+    each block starts on the K block the last one ended with: five builds
+    serve the eight products.  Yields (i, j, D_ij^T), 0-based, in one buffer."""
+    n, eta = solver.n, solver.eta
+    w, g12, wt = solver.arrays
+    k, d = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    # G_mj^H as (alpha, op, array); K_im^H as an op on K's block i + m: conj K11, K12, conj K22
+    gh = {(0, 0): (-1j * eta, "C", w), (0, 1): (1.0, "C", g12),
+          (1, 0): (1.0, "N", g12), (1, 1): (-1j * eta, "C", wt)}
+    kh = {(0, 0): "T", (0, 1): "C", (1, 0): "N", (1, 1): "T"}
+    held = None
+    for i, j, ms in ((0, 0, (0, 1)), (1, 0, (0, 1)), (1, 1, (1, 0)), (0, 1, (1, 0))):
+        for step, m in enumerate(ms):
+            if i + m != held:
+                held = i + m
+                if held == 1:
+                    np.conjugate(g12, out=k)
+                    k *= se.q
+                    np.fill_diagonal(k, se.rho * np.conj(np.trace(g12)) / n + solver.zeta)
+                    k += solver.a
+                else:
+                    src = wt if held == 0 else w
+                    np.multiply(np.conj(1j * eta * se.p), src, out=k)
+                    np.fill_diagonal(k, np.conj(1j * eta * np.trace(src) / n))
+            alpha, op, g = gh[m, j]
+            _gemm(d, alpha, g, op, k, kh[i, m], beta=step)
+        np.conjugate(d, out=d)
+        yield i, j, d
+
+
+def error_matrix(solver: ResolventSolver, se: SelfEnergyData) -> np.ndarray:
     """D = (H + Z + hat-S[G]) G assembled as a full 2n x 2n matrix, G from `solver`.
 
     The tests' reference for `error_matrix_norms`, from the same block builder.
     """
     n = solver.n
     d = np.empty((2 * n, 2 * n), dtype=complex)
-    for i, j, block, _ in _error_blocks(x, solver.blocks, se):
-        d[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+    for i, j, block in _error_blocks(solver, se):
+        d[i * n:(i + 1) * n, j * n:(j + 1) * n] = block.T
     return d
 
 
@@ -366,12 +368,12 @@ def _seeded_test_matrices(n2: int) -> tuple:
 
 @functools.cache
 def _openblas():
-    """The OpenBLAS bundled with numpy, opened on the first call with its six
-    routines bound to their ctypes signatures: `zherk`, `zpotrf`, `zpotri`,
-    `zgehrd` (64-bit integers) and the thread-count getter and setter.
+    """The OpenBLAS bundled with numpy, opened on the first call with its seven
+    routines bound to their ctypes signatures: `zherk`, `zgemm`, `zpotrf`,
+    `zpotri`, `zgehrd` (64-bit integers) and the thread-count getter and setter.
 
     None for a numpy built against a system BLAS, or a library that lacks
-    any of the six: this is the one switch, so every route falls back together.
+    any of the seven: this is the one switch, so every route falls back together.
     """
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libdir.glob("libscipy_openblas64_*.so"))
@@ -383,6 +385,9 @@ def _openblas():
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     signatures = {
         "scipy_zherk_64_": [char, char, i64, i64, f64, ptr, i64, f64, ptr, i64, size, size],
+        # ALPHA and BETA are complex: two doubles each
+        "scipy_zgemm_64_": [char, char, i64, i64, i64, f64, ptr, i64, ptr, i64, f64, ptr, i64,
+                            size, size],
         "scipy_zpotrf_64_": [char, i64, ptr, i64, i64, size],
         "scipy_zpotri_64_": [char, i64, ptr, i64, i64, size],
         # N, ILO, IHI, A, LDA, TAU, WORK, LWORK, INFO; no character arguments
@@ -436,9 +441,10 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
     """(A A^H + eta^2)^{-1}, or (A^H A + eta^2)^{-1} with `adjoint`, for an n x n A.
 
     On numpy's bundled OpenBLAS: `zherk` forms one triangle of the Gram,
-    `zpotrf` + `zpotri` invert it in place, and the other triangle is filled
-    by conjugation, so the result is exactly Hermitian.  A non-positive
-    `zpotrf` pivot raises LinAlgError.  Without that library: a GEMM and `inv`.
+    `zpotrf` + `zpotri` invert it in place on one thread, and the other
+    triangle is filled by conjugation, so the result is exactly Hermitian.
+    A non-positive `zpotrf` pivot raises LinAlgError.  Without that library:
+    a GEMM and `inv`.
     """
     n = a.shape[0]
     lib = _openblas()
@@ -456,17 +462,43 @@ def _gram_inverse(a: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarra
     # LAPACK reads a C-ordered matrix as its transpose: trans "C" forms
     # conj(A A^H) = (A A^H)^T, i.e. A A^H in C order, and its "L" triangle is
     # our upper one
-    lib.scipy_zherk_64_(b"L", b"N" if adjoint else b"C", ref(dim), ref(dim),
-                        ref(ctypes.c_double(1.0)), a.ctypes.data, ref(dim),
-                        ref(ctypes.c_double(0.0)), out.ctypes.data, ref(dim), one, one)
-    out[np.diag_indices(n)] += eta ** 2
-    for routine in (lib.scipy_zpotrf_64_, lib.scipy_zpotri_64_):
-        routine(b"L", ref(dim), out.ctypes.data, ref(dim), ref(info), one)
-        if info.value:
-            raise np.linalg.LinAlgError(
-                f"Gram matrix of X - zeta not positive definite at eta={eta} "
-                f"(LAPACK info {info.value})")
+    with SINGLE_THREADED_BLAS:
+        lib.scipy_zherk_64_(b"L", b"N" if adjoint else b"C", ref(dim), ref(dim),
+                            ref(ctypes.c_double(1.0)), a.ctypes.data, ref(dim),
+                            ref(ctypes.c_double(0.0)), out.ctypes.data, ref(dim), one, one)
+        out[np.diag_indices(n)] += eta ** 2
+        for routine in (lib.scipy_zpotrf_64_, lib.scipy_zpotri_64_):
+            routine(b"L", ref(dim), out.ctypes.data, ref(dim), ref(info), one)
+            if info.value:
+                raise np.linalg.LinAlgError(
+                    f"Gram matrix of X - zeta not positive definite at eta={eta} "
+                    f"(LAPACK info {info.value})")
     np.copyto(out, out.T.conj(), where=np.tri(n, k=-1, dtype=bool))
+    return out
+
+
+def _gemm(out: np.ndarray, alpha: complex, a: np.ndarray, op_a: str, b: np.ndarray,
+          op_b: str, beta: float = 0.0) -> np.ndarray:
+    """out = alpha op_a(a) op_b(b) + beta out for C-ordered n x n complex arrays,
+    op "N", "T" or "C" (the adjoint); beta = 0 ignores out's contents.  On numpy's
+    bundled OpenBLAS one `zgemm` on one thread, with no temporary; a C-ordered
+    array is its Fortran transpose, so zgemm forms out^T = op_b(b)^T op_a(a)^T
+    with the operands swapped.  Without that library: numpy's GEMM."""
+    lib = _openblas()
+    if lib is None:
+        ops = {"N": lambda m: m, "T": np.transpose, "C": lambda m: m.conj().T}
+        out[...] = alpha * (ops[op_a](a) @ ops[op_b](b)) + (beta * out if beta else 0)
+        return out
+    n = out.shape[0]
+    if any(m.shape != (n, n) or m.dtype != complex or not m.flags.c_contiguous
+           for m in (out, a, b)):
+        raise ValueError("zgemm takes C-ordered n x n complex128 arrays")
+    dim, ref, one = ctypes.c_int64(n), ctypes.byref, ctypes.c_size_t(1)
+    scalars = [(ctypes.c_double * 2)(z.real, z.imag) for z in (complex(alpha), complex(beta))]
+    with SINGLE_THREADED_BLAS:
+        lib.scipy_zgemm_64_(op_b.encode(), op_a.encode(), ref(dim), ref(dim), ref(dim),
+                            scalars[0], b.ctypes.data, ref(dim), a.ctypes.data, ref(dim),
+                            scalars[1], out.ctypes.data, ref(dim), one, one)
     return out
 
 
@@ -516,21 +548,23 @@ def hessenberg(a) -> np.ndarray:
 class ResolventSolver:
     """G = (H_zeta - i eta)^{-1} at one fixed eta from n x n inverses.
 
-    With A = X - zeta and W = (A A^H + eta^2)^{-1}: G11 = i eta W, G12 = W A,
-    G21 = G12^H, G22 = i eta (A^H A + eta^2)^{-1}, and G y for y = (y1, y2)
-    is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.  `blocks` inverts
-    A^H A + eta^2 for G22 instead of forming (i/eta)(I - A^H W A), which
-    cancels as w2 does.  Each inverse is of an n x n Hermitian positive
-    definite Gram matrix (`_gram_inverse`: Cholesky on numpy's bundled
-    OpenBLAS outside the GIL, else a GEMM and `inv`), so one eta costs less
-    than a 2n x 2n factorization or a full decomposition.
+    With A = X - zeta, W = (A A^H + eta^2)^{-1} and W~ = (A^H A + eta^2)^{-1}:
+    G11 = i eta W, G12 = W A, G21 = G12^H, G22 = i eta W~, and G y for
+    y = (y1, y2) is w1 = W (i eta y1 + A y2), w2 = -i (A^H w1 - y2)/eta.
+    `arrays` inverts A^H A + eta^2 for G22 instead of forming (i/eta)(I -
+    A^H W A), which cancels as w2 does.  Each inverse is of an n x n
+    Hermitian positive definite Gram matrix (`_gram_inverse`: Cholesky on
+    numpy's bundled OpenBLAS outside the GIL, else a GEMM and `inv`), so one
+    eta costs less than a 2n x 2n factorization or a full decomposition.  It
+    holds 2 n x n complex matrices, and 4 once `arrays` is formed.
     """
 
     def __init__(self, x, zeta: complex, eta: float):
         if eta <= 0:
             raise ValueError("eta must be positive")
-        a = _entries(x) - complex(zeta) * np.eye(_entries(x).shape[0])
+        a = hermitize(x, zeta).shifted
         self.a = a
+        self.zeta = complex(zeta)
         self.eta = float(eta)
         self.n = a.shape[0]
         self.w = _gram_inverse(a, self.eta)
@@ -539,7 +573,7 @@ class ResolventSolver:
         """G y for a 2n vector y, or G Y for a 2n x k block Y, column by column.
 
         w2 cancels as eta / sigma_min(A) -> 0 (at n = 64, zeta = 0.3+0.2i, entries
-        are off by 1e-6 relative at eta = 1e-6, 0.2 at 1e-12); `blocks` is accurate there."""
+        are off by 1e-6 relative at eta = 1e-6, 0.2 at 1e-12); `arrays` is accurate there."""
         n, eta = self.n, self.eta
         y = np.asarray(y, dtype=complex)
         y1, y2 = y[:n], y[n:]
@@ -548,16 +582,10 @@ class ResolventSolver:
         return np.concatenate([w1, w2])
 
     @functools.cached_property
-    def blocks(self) -> tuple:
-        """The n x n blocks (G11, G12, G21, G22) of G; G21 = G12^H costs no product.
-
-        G22's inverse is made first and scaled in place, so the peak holds no
-        more than A, W and the four blocks."""
-        a, eta = self.a, self.eta
-        g22 = _gram_inverse(a, eta, adjoint=True)
-        np.multiply(1j * eta, g22, out=g22)
-        g12 = self.w @ a
-        return 1j * eta * self.w, g12, g12.conj().T, g22
+    def arrays(self) -> tuple:
+        """G as (W, G12, W~), formed on first use, W~ before G12 to lower the peak."""
+        wt = _gram_inverse(self.a, self.eta, adjoint=True)
+        return self.w, self.w @ self.a, wt
 
     def avg_trace(self) -> complex:
         # tr W is real: dropping its rounding-level imaginary part keeps <G> imaginary
@@ -569,32 +597,31 @@ class ResolventSolver:
         return np.array([[diag, ul12], [np.conj(ul12), diag]])
 
 
-def error_matrix_norms(x, solver: ResolventSolver, se: SelfEnergyData, probes,
+def error_matrix_norms(solver: ResolventSolver, se: SelfEnergyData, probes,
                        test_matrices) -> tuple[float, float]:
     """(iso, avg) norms of the error matrix over probe pairs / test matrices.
 
     iso is the largest |<x, D y>| over the (label, vector) `probes`; avg is
     the largest |tr(B D)| / 2n over the block tests c (x) I of `BLOCK_TESTS`
     and the (label, matrix) `test_matrices`.  D is read one n x n block at a
-    time (`_error_blocks`), and each block gives its trace, its share of D P
-    for the probe matrix P and its share of every random tr(B D) before the
-    next is built, so no 2n x 2n matrix is formed.  A block test's trace is
-    tr((c (x) I) D) = tr(c T), with T the 2x2 matrix of D's block traces; a
-    random one's collects sum_rs B_ji[s, r] D_ij[r, s] over the blocks (i, j),
-    from a transposed copy of D_ij, so both operands are read row by row.
+    time, transposed (`_error_blocks`), and each block gives its trace, its
+    share of D P for the probe matrix P and its share of every random
+    tr(B D) before the next is built, so besides G's arrays the working
+    memory is two n x n matrices.  A block test's trace is tr((c (x) I) D) =
+    tr(c T), with T the 2x2 matrix of D's block traces; a random one's
+    collects sum_rs B_ji[s, r] D_ij^T[s, r] over the blocks (i, j).
     """
     n = solver.n
     pv = np.stack([p for _, p in probes], axis=1)
     dp = np.zeros_like(pv)
     blocks = np.empty((2, 2), dtype=complex)
     rand = np.zeros(len(test_matrices), dtype=complex)
-    for i, j, d, spare in _error_blocks(x, solver.blocks, se):
+    for i, j, dt in _error_blocks(solver, se):
         rows, cols = slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
-        blocks[i, j] = np.trace(d)
-        dp[rows] += d @ pv[cols]
-        np.copyto(spare, d.T)
+        blocks[i, j] = np.trace(dt)
+        dp[rows] += dt.T @ pv[cols]
         for k, (_, b) in enumerate(test_matrices):
-            rand[k] += np.einsum("ij,ij->", spare, b[cols, rows])
+            rand[k] += np.einsum("ij,ij->", dt, b[cols, rows])
     iso = float(np.abs(pv.conj().T @ dp).max())
     traces = [np.trace(c @ blocks) for c in BLOCK_TESTS.values()] + list(rand)
     avg = max(abs(t) for t in traces) / (2 * n)

@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -256,6 +257,29 @@ class TestThreads:
             assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestTrialMemory:
+    def test_a_pooled_trial_peaks_under_eight_matrices(self):
+        # one trial of the six pooled experiments at n = 128, in units of one
+        # n x n complex matrix as tracemalloc counts numpy's buffers: each n x n
+        # array is dropped after its last reader, and the error matrix holds A,
+        # W, G12, W~ and two buffers; the setups' shared state adds about 0.4
+        n = 128
+        grid = small_grid(n_values=(n,), trials=1)
+        requests = {"local-law": {}, "iso-law": {}, "ssv-scan": {}, "deloc": {},
+                    "linstats": {"tf": Bump(center=grid.zeta, alpha=0.4)},
+                    "error-matrix": {}}
+        # a first run loads what the experiments import and draws the test
+        # matrices, which every trial at n shares
+        harness.run_experiments(grid, requests)
+        tracemalloc.start()
+        try:
+            harness.run_experiments(grid, requests, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0 * 16 * n ** 2
+
+
 class TestAveragedLaw:
     def test_small_run(self):
         rep = averaged_local_law(small_grid())
@@ -374,6 +398,30 @@ class TestIsotropicLaw:
                    "avg_op_err": rec.extras["avg_op_err"]}
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-10, abs=0), (n, key)
+
+    def test_isotropic_rate_on_every_mesoscopic_scale(self):
+        # the isotropic rate 1/sqrt(n eta) on all scales eta = n^-beta, beta < 1:
+        # sqrt(n eta) times the median of iso-law's worst probe pair (about
+        # 1.1 to 1.4 here) and of the error matrix's iso norm (about 1.5) is
+        # flat in beta, while sqrt(n eta) runs from 9.2 down to 1.03; each beta
+        # within three of its own trials' standard errors of the median over
+        # beta.  D's averaged norm is left out: n eta times it rises at beta = 0.2
+        n, trials = 256, 10
+        reads = {"iso-law": lambda r: r.observed, "error-matrix": lambda r: r.extras["iso"]}
+        scaled, errors = {name: [] for name in reads}, {name: [] for name in reads}
+        for beta in (0.2, 0.4, 0.6, 0.75, 0.9, 0.99):
+            grid = ExperimentGrid(n_values=(n,), zeta=0.3 + 0.2j, beta=beta,
+                                  trials=trials, delta=0.1, seed=1, rho=0.5)
+            reports = harness.run_experiments(grid, {name: {} for name in reads}, threads=2)
+            for name, read in reads.items():
+                x = np.sqrt(n * grid.eta(n)) * np.array([read(r) for r in reports[name].records])
+                scaled[name].append(np.median(x))
+                # the standard error of a median, sqrt(pi / 2) sd / sqrt(trials)
+                errors[name].append(1.2533 * x.std(ddof=1) / np.sqrt(trials))
+        for name in reads:
+            centre = np.median(scaled[name])
+            assert np.all(np.abs(np.array(scaled[name]) - centre)
+                          <= 3.0 * np.array(errors[name])), (name, scaled[name], errors[name])
 
 
 class TestDelocalisation:
@@ -1156,8 +1204,8 @@ class TestErrorMatrixExperiment:
         shared = error_matrix_experiment(grid, threads=2)
         assert sorted(built) == [128, 256]
         # the per-trial path: each trial builds its own probes and test matrices
-        monkeypatch.setattr(harness, "error_matrix_norms", lambda x, solver, se, *_: (
-            error_matrix_norms(x, solver, se, default_probes(2 * solver.n, k=8),
+        monkeypatch.setattr(harness, "error_matrix_norms", lambda solver, se, *_: (
+            error_matrix_norms(solver, se, default_probes(2 * solver.n, k=8),
                                default_test_matrices(2 * solver.n))))
         per_trial = error_matrix_experiment(grid, threads=2)
         assert [r.to_dict() for r in shared.records] == [r.to_dict() for r in per_trial.records]

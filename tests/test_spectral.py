@@ -1,5 +1,6 @@
 """Spectral engine against dense-inverse, eigensolver, and hand-computed oracles."""
 
+import ast
 import ctypes
 import tracemalloc
 import types
@@ -43,6 +44,12 @@ def small_matrix(n=8, seed=0, rho=0.5, mu=1.0):
 def dense_resolvent(dec_input, zeta, eta):
     h = hermitize(dec_input, zeta).matrix
     return np.linalg.inv(h - 1j * eta * np.eye(h.shape[0]))
+
+
+def g_blocks(solver):
+    """G's four n x n blocks (G11, G12, G21, G22), assembled from the solver's three arrays."""
+    w, g12, wt = solver.arrays
+    return 1j * solver.eta * w, g12, g12.conj().T, 1j * solver.eta * wt
 
 
 class TestHermitization:
@@ -284,7 +291,7 @@ class TestResolventSolver:
         for route in blas_routes():
             solver = ResolventSolver(mat.entries, zeta, eta)
             for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
-                                          (solver.w, *solver.blocks), oracle):
+                                          (solver.w, *g_blocks(solver)), oracle):
                 assert np.max(np.abs(block - want)) <= 1e-10 * np.max(np.abs(want)), \
                     (route, label)
 
@@ -303,14 +310,14 @@ class TestResolventSolver:
         for route in blas_routes():
             solver = ResolventSolver(mat.entries, zeta, eta)
             for label, block, want in zip(("W", "G11", "G12", "G21", "G22"),
-                                          (solver.w, *solver.blocks), dense):
+                                          (solver.w, *g_blocks(solver)), dense):
                 # W is G11 / (i eta), so the oracle's error grows by 1 / eta
                 scale = unit / eta if label == "W" else unit
                 assert np.max(np.abs(block - want)) <= 16 * scale, (route, label)
             err = np.abs(solver.apply(y) - g @ y)
             assert err[:n].max() <= 16 * unit * np.abs(y).max(), route
             # w2 = -i (A^H w1 - y2) / eta cancels as sigma_max / eta grows (the
-            # `apply` docstring); `blocks` is the accurate route there
+            # `apply` docstring); `arrays` is the accurate route there
             assert err[n:].max() <= 16 * unit * np.abs(y).max() * (1 + s[0] / eta), route
 
     def test_routes_agree_and_the_fallback_calls_inv(self, monkeypatch):
@@ -321,17 +328,27 @@ class TestResolventSolver:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inv_calls.append(a.shape) or inv(a))
         lapack = ResolventSolver(mat.entries, 0.1, 0.05)
-        lapack_blocks = lapack.blocks
+        lapack_blocks = g_blocks(lapack)
         assert inv_calls == []
         monkeypatch.setattr(spectral, "_openblas", lambda: None)
         fallback = ResolventSolver(mat.entries, 0.1, 0.05)
         assert inv_calls == [(48, 48)]
-        for got, want in zip((lapack.w, *lapack_blocks), (fallback.w, *fallback.blocks)):
+        for got, want in zip((lapack.w, *lapack_blocks), (fallback.w, *g_blocks(fallback))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert inv_calls == [(48, 48)] * 2
         # the filled triangle makes W exactly Hermitian
         assert np.array_equal(lapack.w, lapack.w.conj().T)
         assert lapack.avg_trace().real == 0.0
+
+    def test_avg_trace_independent_of_blas_threads(self, blas):
+        # the Gram inverse holds one BLAS thread itself, outside any trial pool;
+        # unpinned, the last digits of <G> moved with the thread count here
+        x = sample(EnsembleSpec(n=512, rho=0.5, seed=1)).entries
+        on_two = ResolventSolver(x, 0.3 + 0.2j, 0.01).avg_trace()
+        assert blas() == 2
+        with spectral.SINGLE_THREADED_BLAS:
+            on_one = ResolventSolver(x, 0.3 + 0.2j, 0.01).avg_trace()
+        assert on_two == on_one
 
     def test_singular_gram_raises(self, blas_routes):
         # eta^2 underflows to 0, so the Gram of A = 0 is exactly singular
@@ -353,10 +370,26 @@ class TestResolventSolver:
             ResolventSolver(small_matrix(n=8).entries, 0.0, 0.1)
 
 
+def unbound_routines(source: str) -> list:
+    """The `scipy_*` names a module reads off a library that `_openblas` binds no
+    signature for: ctypes would pass such a routine's 64-bit integers as 32-bit
+    ints without a word."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_openblas":
+            bound |= {key.value for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                      and any(getattr(t, "id", None) == "signatures" for t in sub.targets)
+                      for key in sub.value.keys}
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("scipy_")}
+    return sorted(used - bound)
+
+
 class TestOpenblasSwitch:
     """`_openblas()` is the one switch between numpy's bundled OpenBLAS and a system BLAS."""
 
-    ROUTINES = ("scipy_zherk_64_", "scipy_zpotrf_64_", "scipy_zpotri_64_",
+    ROUTINES = ("scipy_zherk_64_", "scipy_zgemm_64_", "scipy_zpotrf_64_", "scipy_zpotri_64_",
                 "scipy_zgehrd_64_", "scipy_openblas_get_num_threads64_",
                 "scipy_openblas_set_num_threads64_")
 
@@ -385,6 +418,18 @@ class TestOpenblasSwitch:
     def test_a_missing_routine_switches_every_route(self, stub_library, missing):
         stub_library([name for name in self.ROUTINES if name != missing])
         assert spectral._openblas.__wrapped__() is None
+
+    def test_every_routine_read_is_bound(self):
+        assert unbound_routines(Path(spectral.__file__).read_text()) == []
+
+    def test_guard_sees_an_unbound_routine(self):
+        source = ("def _openblas():\n"
+                  "    signatures = {'scipy_zherk_64_': []}\n"
+                  "def gram(lib):\n"
+                  "    lib.scipy_zherk_64_()\n"
+                  "    for routine in (lib.scipy_zpotrf_64_,):\n"
+                  "        routine()\n")
+        assert unbound_routines(source) == ["scipy_zpotrf_64_"]
 
     def test_bundled_library_is_bound(self):
         # a numpy upgrade that renames a symbol must fail here, not move every
@@ -415,6 +460,26 @@ class TestOpenblasSwitch:
         assert seen == {route: want[route] for route in seen}
         assert "fallback" in seen
 
+    def test_gemm_ops_on_both_routes(self, blas_routes):
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+                   for _ in range(3))
+        ops = {"N": a, "T": a.T, "C": a.conj().T}
+        for route in blas_routes():
+            for op_a, left in ops.items():
+                for op_b, right in {"N": b, "T": b.T, "C": b.conj().T}.items():
+                    out = c.copy()
+                    spectral._gemm(out, 0.3 - 0.7j, a, op_a, b, op_b, beta=1.0)
+                    want = (0.3 - 0.7j) * left @ right + c
+                    assert np.max(np.abs(out - want)) <= 1e-13, (route, op_a, op_b)
+                    # beta = 0 ignores out, NaNs included
+                    out[:] = np.nan
+                    spectral._gemm(out, 1.0, a, op_a, b, op_b)
+                    assert np.max(np.abs(out - left @ right)) <= 1e-13, (route, op_a, op_b)
+            if route == "openblas":
+                with pytest.raises(ValueError, match="C-ordered"):
+                    spectral._gemm(np.empty((6, 6), dtype=complex), 1.0, a.T, "N", b, "N")
+
     def test_pin_restored_through_the_library_that_set_it(self, blas, monkeypatch):
         with spectral.SINGLE_THREADED_BLAS:
             assert blas() == 1
@@ -429,9 +494,9 @@ class TestErrorMatrix:
         x = np.zeros((2, 2), dtype=complex)
         solver = ResolventSolver(x, 0.0, eta)
         se = SelfEnergyData(rho=0.5, p=0.1, q=0.2)
-        d = error_matrix(x, solver, se)
+        d = error_matrix(solver, se)
         assert np.max(np.abs(d - (-1.0 / eta ** 2) * np.eye(4))) < 1e-12
-        iso, avg = error_matrix_norms(x, solver, se, default_probes(4, k=8),
+        iso, avg = error_matrix_norms(solver, se, default_probes(4, k=8),
                                       default_test_matrices(4))
         assert iso == pytest.approx(1.0 / eta ** 2, rel=1e-12)
         assert avg == pytest.approx(1.0 / eta ** 2, rel=1e-12)
@@ -467,7 +532,7 @@ class TestErrorMatrix:
     def test_g_blocks_match_the_dense_resolvent(self, n):
         mat = small_matrix(n=n, seed=5, rho=0.4, mu=0.7)
         zeta, eta = 0.2 + 0.1j, 0.3
-        blocks = ResolventSolver(mat.entries, zeta, eta).blocks
+        blocks = g_blocks(ResolventSolver(mat.entries, zeta, eta))
         g = dense_resolvent(mat, zeta, eta)
         dense = [g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]]
         for block, oracle in zip(blocks, dense):
@@ -481,13 +546,13 @@ class TestErrorMatrix:
         zeta, eta = 0.2 + 0.1j, 0.3
         solver = ResolventSolver(mat.entries, zeta, eta)
         se = SelfEnergyData.from_spec(mat.spec)
-        d = error_matrix(mat.entries, solver, se)
+        d = error_matrix(solver, se)
         n = 10
         g = dense_resolvent(mat, zeta, eta)
         zmat = np.zeros((2 * n, 2 * n), dtype=complex)
         zmat[:n, n:] = zeta * np.eye(n)
         zmat[n:, :n] = np.conj(zeta) * np.eye(n)
-        k11, k12, k21, k22 = self_energy_hat(*solver.blocks, se)
+        k11, k12, k21, k22 = self_energy_hat(*g_blocks(solver), se)
         shat = np.block([[k11, k12], [k21, k22]])
         alt = np.eye(2 * n) + (1j * eta * np.eye(2 * n) + zmat + shat) @ g
         assert np.max(np.abs(d - alt)) < 1e-10
@@ -500,10 +565,21 @@ class TestErrorMatrix:
             mat = sample(spec)
             solver = ResolventSolver(mat.entries, 0.3 + 0.2j, n ** -0.5)
             se = SelfEnergyData.from_spec(spec)
-            _, avg = error_matrix_norms(mat.entries, solver, se, default_probes(2 * n, k=8),
+            _, avg = error_matrix_norms(solver, se, default_probes(2 * n, k=8),
                                         default_test_matrices(2 * n))
             vals[n] = avg
         assert vals[256] < vals[64]
+
+    def test_norms_agree_on_both_blas_routes(self, blas_routes):
+        spec = EnsembleSpec(n=96, rho=0.5, mu=0.7, seed=2)
+        x, se = sample(spec).entries, SelfEnergyData.from_spec(spec)
+        probes, tests = default_probes(192, k=8), default_test_matrices(192)
+        norms = {route: error_matrix_norms(ResolventSolver(x, 0.3 + 0.2j, 96 ** -0.75), se,
+                                           probes, tests)
+                 for route in blas_routes()}
+        assert "fallback" in norms
+        for got in norms.values():
+            assert got == pytest.approx(norms["fallback"], rel=1e-12)
 
     def test_default_probes_shapes(self):
         probes = default_probes(32, seed=0, k=3)
@@ -533,20 +609,21 @@ class TestWorkingMemory:
         return sample(spec).entries, SelfEnergyData.from_spec(spec)
 
     def test_error_matrix_norms_never_forms_the_2n_matrix(self):
-        # the dense D alone is 4 n^2; its four n x n blocks take four buffers
+        # the dense D alone is 4 n^2; one block of K and one of D take two
+        # buffers, and the 2n x 12 probe products about 0.4 more at n = 128
         x, se = self.inputs()
         solver = ResolventSolver(x, 0.3 + 0.2j, self.n ** -0.75)
-        solver.blocks
+        solver.arrays
         probes, tests = default_probes(2 * self.n, k=8), default_test_matrices(2 * self.n)
-        peak = _traced_peak(lambda: error_matrix_norms(x, solver, se, probes, tests))
-        assert peak <= 5.0 * 16 * self.n ** 2
+        peak = _traced_peak(lambda: error_matrix_norms(solver, se, probes, tests))
+        assert peak <= 3.1 * 16 * self.n ** 2
 
-    def test_resolvent_blocks_hold_a_w_and_the_four_blocks(self, blas_routes):
-        # A, W and G's four blocks are 6 n^2; G22 is scaled in place
+    def test_resolvent_arrays_hold_a_w_g12_and_w_tilde(self, blas_routes):
+        # A, W, G12 and W~ are 4 n^2; W~ is made before G12
         x, _ = self.inputs()
         for _ in blas_routes():
-            peak = _traced_peak(lambda: ResolventSolver(x, 0.3 + 0.2j, self.n ** -0.75).blocks)
-            assert peak <= 6.1 * 16 * self.n ** 2
+            peak = _traced_peak(lambda: ResolventSolver(x, 0.3 + 0.2j, self.n ** -0.75).arrays)
+            assert peak <= 5.1 * 16 * self.n ** 2
 
 
 def _power_estimate(b, iters=40, seed=3):
@@ -626,25 +703,25 @@ class TestAveragedErrorNorm:
         x = sample(spec)
         solver = ResolventSolver(x, 0.2 + 0.1j, n ** -0.5)
         se = SelfEnergyData.from_spec(spec)
-        d = error_matrix(x, solver, se)
+        d = error_matrix(solver, se)
 
         def oracle(mats):
             return max(abs(np.einsum("ij,ji->", b, d)) for b in mats) / (2 * n)
 
         blocks = [np.kron(c, np.eye(n)) for c in BLOCK_TESTS.values()]
         probes, tests = default_probes(2 * n, k=8), default_test_matrices(2 * n)
-        iso, avg = error_matrix_norms(x, solver, se, probes, [])
+        iso, avg = error_matrix_norms(solver, se, probes, [])
         assert avg == pytest.approx(oracle(blocks), rel=1e-13)
         # iso against every probe pair of the dense D, one matrix-vector product each
         assert iso == pytest.approx(max(abs(np.vdot(p, d @ q)) for _, p in probes
                                         for _, q in probes), rel=1e-13)
         for label, b in tests:
-            _, avg = error_matrix_norms(x, solver, se, probes, [(label, b)])
+            _, avg = error_matrix_norms(solver, se, probes, [(label, b)])
             assert avg == pytest.approx(oracle(blocks + [b]), rel=1e-13), label
-        _, avg = error_matrix_norms(x, solver, se, probes, tests)
+        _, avg = error_matrix_norms(solver, se, probes, tests)
         assert avg == pytest.approx(oracle(blocks + [b for _, b in tests]), rel=1e-13)
         # each block test on its own, not just the largest
         for label, c in BLOCK_TESTS.items():
             monkeypatch.setattr(spectral, "BLOCK_TESTS", {label: c})
-            _, avg = error_matrix_norms(x, solver, se, probes, [])
+            _, avg = error_matrix_norms(solver, se, probes, [])
             assert avg == pytest.approx(oracle([np.kron(c, np.eye(n))]), rel=1e-13), label
